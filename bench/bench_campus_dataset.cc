@@ -3,15 +3,16 @@
 //
 // Paper's reported numbers: 600 test packets cover the 1,129 entries; the
 // SAT solver finds a matching header for an overlapped rule in 0.5-2.4 ms,
-// consistently.
+// consistently. This reproduction answers the same query exactly with
+// HeaderSpace::lex_min_excluding instead of a solver.
 #include <cstdio>
+#include <unordered_set>
 
 #include "bench/bench_util.h"
 #include "core/analysis_snapshot.h"
 #include "core/mlpc.h"
 #include "core/probe_engine.h"
 #include "flow/campus.h"
-#include "sat/session.h"
 #include "util/timer.h"
 
 using namespace sdnprobe;
@@ -19,7 +20,7 @@ using namespace sdnprobe;
 int main(int argc, char** argv) {
   const bool full = bench::has_flag(argc, argv, "--full");
   (void)full;
-  bench::print_header("Campus dataset: probes + SAT header synthesis",
+  bench::print_header("Campus dataset: probes + exact header selection",
                       "SDNProbe ICDCS'18 SectionVIII-A");
   bench::BenchReport report("campus_dataset",
                             "SDNProbe ICDCS'18 SectionVIII-A", full);
@@ -49,13 +50,13 @@ int main(int argc, char** argv) {
   report.set_summary("test_packets", std::uint64_t{cover.path_count()});
   report.set_summary("mlpc_ms", mlpc_timer.elapsed_millis());
 
-  // Per-header SAT synthesis latency over the most-overlapped rules: for
-  // each entry whose input space required subtracting overlap chains, solve
-  // for a concrete header through one incremental session (as the probe
-  // engine now does) and time it.
+  // Per-header selection latency over the most-overlapped rules: for each
+  // entry whose input space required subtracting overlap chains, time the
+  // exact lex-min query the probe engine's fallback runs, against an empty
+  // forbidden pool.
   util::Samples solve_ms;
   int solved = 0;
-  sat::HeaderSession session(rs.header_width());
+  const std::unordered_set<hsa::TernaryString, hsa::TernaryStringHash> none;
   for (core::VertexId v = 0; v < graph.vertex_count(); ++v) {
     const flow::EntryId id = graph.entry_of(v);
     const flow::FlowEntry& e = rs.entry(id);
@@ -63,21 +64,22 @@ int main(int argc, char** argv) {
                               .overlapping_above(e);
     if (overlaps.size() < 8) continue;  // only the deep chains are timed
     util::WallTimer t;
-    const auto h = session.find_header(graph.in_space(v));
+    const auto h = graph.in_space(v).lex_min_excluding(none);
     if (h.has_value()) {
       solve_ms.add(t.elapsed_millis());
       ++solved;
     }
   }
   if (!solve_ms.empty()) {
-    std::printf("SAT header synthesis over %d deep-overlap rules: "
-                "%.3f-%.3f ms (mean %.3f ms; paper: 0.5-2.4 ms on 2017 "
-                "hardware)\n",
-                solved, solve_ms.min(), solve_ms.max(), solve_ms.mean());
-    report.set_summary("sat_rules_timed", solved);
-    report.set_summary("sat_min_ms", solve_ms.min());
-    report.set_summary("sat_max_ms", solve_ms.max());
-    report.set_summary("sat_mean_ms", solve_ms.mean());
+    std::printf("exact header selection over %d deep-overlap rules: "
+                "%.2f-%.2f us (mean %.2f us; paper's SAT solver: 0.5-2.4 ms "
+                "on 2017 hardware)\n",
+                solved, 1e3 * solve_ms.min(), 1e3 * solve_ms.max(),
+                1e3 * solve_ms.mean());
+    report.set_summary("select_rules_timed", solved);
+    report.set_summary("select_min_ms", solve_ms.min());
+    report.set_summary("select_max_ms", solve_ms.max());
+    report.set_summary("select_mean_ms", solve_ms.mean());
   }
 
   // End-to-end check: every probe traverses its path on a clean data plane.
@@ -87,7 +89,8 @@ int main(int argc, char** argv) {
   core::ProbeEngine engine(snap);
   util::Rng rng(2);
   const auto probes = engine.make_probes(cover, rng);
-  std::printf("probe synthesis: %zu probes, %llu by sampling, %llu by SAT\n",
+  std::printf("probe synthesis: %zu probes, %llu by sampling, %llu by exact "
+              "fallback\n",
               probes.size(),
               static_cast<unsigned long long>(engine.stats().headers_by_sampling),
               static_cast<unsigned long long>(engine.stats().headers_by_sat));

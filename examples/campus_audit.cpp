@@ -1,5 +1,5 @@
 // Campus-backbone audit (the paper's §VIII-A setting): two routing tables
-// with deep overlapping-rule chains, SAT-backed probe synthesis, and a full
+// with deep overlapping-rule chains, exact unique-header selection, and a full
 // audit pass that verifies every forwarding entry against the control-plane
 // intent, then localizes an injected misbehaving entry.
 //

@@ -30,8 +30,6 @@ const char* check_name(CheckId id) {
       return "rule-graph-cycle";
     case CheckId::kEmptyVertexSpace:
       return "empty-vertex-space";
-    case CheckId::kUnsatEdge:
-      return "unsat-edge";
     case CheckId::kAmbiguousPriority:
       return "ambiguous-priority";
     case CheckId::kUnreachablePair:

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "sat/session.h"
 #include "telemetry/trace.h"
 #include "util/check.h"
 
@@ -390,7 +389,7 @@ std::vector<core::VertexId> find_rule_graph_cycle(
 }
 
 void lint_rule_graph(const core::AnalysisSnapshot& snapshot,
-                     const LintConfig& config, LintReport& report) {
+                     LintReport& report) {
   const RuleSet& rules = snapshot.rules();
 
   if (!snapshot.graph().is_acyclic()) {
@@ -423,56 +422,6 @@ void lint_rule_graph(const core::AnalysisSnapshot& snapshot,
     d.check = CheckId::kEmptyVertexSpace;
     d.location = entry_location(rules.entry(snapshot.entry_of(v)));
     d.message = "active rule-graph vertex has an empty legal header space";
-    report.add(std::move(d));
-  }
-
-  // SAT cross-check: every edge's transfer function (out(u) ∩ in(w)) must
-  // admit a concrete witness header. HSA says it does (the edge exists);
-  // the CNF encoding must agree.
-  if (config.sat_edge_budget == 0) return;
-  std::size_t checked = 0;
-  bool truncated = false;
-  // One incremental session serves every edge: each edge space is encoded
-  // behind its own activation guard, and clauses learned discharging one
-  // edge speed up the next (all spaces share the ruleset's header width).
-  std::optional<sat::HeaderSession> session;
-  for (core::VertexId u = 0; u < snapshot.vertex_count() && !truncated; ++u) {
-    for (const core::VertexId w : snapshot.successors(u)) {
-      if (checked == config.sat_edge_budget) {
-        truncated = true;
-        break;
-      }
-      ++checked;
-      const hsa::HeaderSpace edge_space =
-          snapshot.out_space(u).intersect(snapshot.in_space(w));
-      if (!session.has_value() && !edge_space.is_empty()) {
-        session.emplace(edge_space.width(), config.sat);
-      }
-      const bool witness =
-          !edge_space.is_empty() &&
-          session->find_header(edge_space).has_value();
-      if (witness) continue;
-      Diagnostic d;
-      d.severity = Severity::kError;
-      d.check = CheckId::kUnsatEdge;
-      d.location = entry_location(rules.entry(snapshot.entry_of(u)));
-      d.message =
-          "edge transfer function is unsatisfiable: no concrete header "
-          "witnesses out(" +
-          std::to_string(snapshot.entry_of(u)) + ") ∩ in(" +
-          std::to_string(snapshot.entry_of(w)) + ")";
-      d.payload.emplace_back("to-entry",
-                             std::to_string(snapshot.entry_of(w)));
-      report.add(std::move(d));
-    }
-  }
-  if (truncated) {
-    Diagnostic d;
-    d.severity = Severity::kInfo;
-    d.check = CheckId::kUnsatEdge;
-    d.message = "SAT edge discharge truncated at " +
-                std::to_string(config.sat_edge_budget) + " of " +
-                std::to_string(snapshot.graph().edge_count()) + " edges";
     report.add(std::move(d));
   }
 }
@@ -522,7 +471,7 @@ LintReport Linter::run(const core::AnalysisSnapshot& snapshot) const {
       },
       report);
   if (config_.rule_graph_checks) {
-    lint_rule_graph(snapshot, config_, report);
+    lint_rule_graph(snapshot, report);
   }
   report.sort();
   record_lint_telemetry(report);

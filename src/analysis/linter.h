@@ -6,8 +6,7 @@
 // cycle, or a dangling output port corrupts the rule graph and surfaces as a
 // confusing downstream failure. The linter detects these defects statically,
 // reusing the paper's own §V-A header-space algebra (overlap queries,
-// difference, set-field transforms) plus the SAT encoder as an independent
-// cross-check.
+// difference, set-field transforms).
 //
 // Check catalogue (see diagnostic.h for ids):
 //   shadowed-entry     W  entry fully covered by strictly-higher-priority
@@ -32,8 +31,6 @@
 //                         the paper's standing acyclicity assumption)
 //   empty-vertex-space E  active vertex with an empty in/out header space
 //                         (internal invariant; should never fire)
-//   unsat-edge         E  rule-graph edge whose transfer function the SAT
-//                         encoder cannot satisfy (HSA vs SAT cross-check)
 //
 // Severity model: errors are defects that make analysis results wrong or
 // meaningless; warnings are suspicious-but-functional structure; infos are
@@ -42,7 +39,6 @@
 // over a ruleset with error-severity findings.
 #pragma once
 
-#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -50,7 +46,6 @@
 #include "analysis/verifier.h"
 #include "core/analysis_snapshot.h"
 #include "flow/ruleset.h"
-#include "sat/solver_config.h"
 
 namespace sdnprobe::analysis {
 
@@ -58,22 +53,14 @@ struct LintConfig {
   // Error-severity diagnostics abort snapshot construction in
   // build_checked_snapshot (throwing LintError).
   bool strict = false;
-  // Run the snapshot-only battery (rule-graph cycle / vertex spaces / SAT
-  // edge discharge) in Linter::run(const AnalysisSnapshot&).
+  // Run the snapshot-only battery (rule-graph cycle / vertex spaces) in
+  // Linter::run(const AnalysisSnapshot&).
   bool rule_graph_checks = true;
   // Flag pairs of same-priority overlapping entries in one table
   // (ambiguous-priority). The tie-aware semantics from the churn work make
   // them legal — insertion order decides — but depending on install order
   // is almost always a configuration bug, so warn by default.
   bool ambiguous_priority_check = true;
-  // Maximum number of rule-graph edges discharged through the SAT encoder
-  // (0 disables the check). When the graph has more edges, the first
-  // `sat_edge_budget` in deterministic order are checked and an info
-  // diagnostic records the truncation.
-  std::size_t sat_edge_budget = 512;
-  // Solver knobs for the edge-discharge SAT session (one incremental
-  // session serves every edge of a lint run).
-  sat::SolverConfig sat;
   // Network-wide invariants build_checked_snapshot verifies over the
   // freshly built snapshot (analysis::Verifier); their diagnostics are
   // merged into the lint report. Empty = no verification.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sat/header_encoder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
@@ -34,14 +33,6 @@ struct EngineInstruments {
 
 }  // namespace
 
-sat::HeaderSession& ProbeEngine::session_for(int width) {
-  auto& slot = sessions_[width];
-  if (!slot) {
-    slot = std::make_unique<sat::HeaderSession>(width, config_.sat);
-  }
-  return *slot;
-}
-
 std::optional<hsa::TernaryString> ProbeEngine::pick_unique_header(
     const hsa::HeaderSpace& input_space, util::Rng& rng,
     const TrafficProfile* profile) {
@@ -57,27 +48,11 @@ std::optional<hsa::TernaryString> ProbeEngine::pick_unique_header(
     EngineInstruments::get().candidates.add();
     if (!used_.count(*h)) {
       ++stats_.headers_by_sampling;
-      EngineInstruments::get().committed.add();
-      used_.insert(*h);
+      commit(*h);
       return h;
     }
   }
-  // Slow path: the engine's persistent SAT session finds a header in the
-  // space differing from every previously issued header (the paper's MiniSat
-  // use, §VI). Guarded forbidden-header clauses and learned clauses carry
-  // over between fallbacks.
-  std::vector<hsa::TernaryString> forbidden(used_.begin(), used_.end());
-  EngineInstruments::get().sat_fallbacks.add();
-  auto h = session_for(input_space.width()).find_header(input_space, forbidden);
-  if (h.has_value()) {
-    ++stats_.headers_by_sat;
-    EngineInstruments::get().committed.add();
-    used_.insert(*h);
-    return h;
-  }
-  ++stats_.sat_failures;
-  EngineInstruments::get().sat_failures.add();
-  return std::nullopt;
+  return exact_fallback(input_space);
 }
 
 std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
@@ -87,23 +62,32 @@ std::optional<hsa::TernaryString> ProbeEngine::commit_unique_header(
   for (const hsa::TernaryString& h : candidates) {
     if (!used_.count(h)) {
       ++stats_.headers_by_sampling;
-      EngineInstruments::get().committed.add();
-      used_.insert(h);
+      commit(h);
       return h;
     }
   }
-  std::vector<hsa::TernaryString> forbidden(used_.begin(), used_.end());
+  return exact_fallback(input_space);
+}
+
+std::optional<hsa::TernaryString> ProbeEngine::exact_fallback(
+    const hsa::HeaderSpace& input_space) {
+  // The paper's MiniSat query (§VI) — a header in the space differing from
+  // every previously issued header — answered exactly over the cube union.
   EngineInstruments::get().sat_fallbacks.add();
-  auto h = session_for(input_space.width()).find_header(input_space, forbidden);
-  if (h.has_value()) {
-    ++stats_.headers_by_sat;
-    EngineInstruments::get().committed.add();
-    used_.insert(*h);
-    return h;
+  auto h = input_space.lex_min_excluding(used_);
+  if (!h.has_value()) {
+    ++stats_.sat_failures;
+    EngineInstruments::get().sat_failures.add();
+    return std::nullopt;
   }
-  ++stats_.sat_failures;
-  EngineInstruments::get().sat_failures.add();
-  return std::nullopt;
+  ++stats_.headers_by_sat;
+  commit(*h);
+  return h;
+}
+
+void ProbeEngine::commit(const hsa::TernaryString& h) {
+  EngineInstruments::get().committed.add();
+  used_.insert(h);
 }
 
 ProbeEngine::PathCandidates ProbeEngine::sample_path_candidates(
@@ -199,7 +183,7 @@ std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
     util::parallel_for(&transient, n, generate);
   }
 
-  // Phase B (serial, cover order): uniqueness commit against `used_`, SAT
+  // Phase B (serial, cover order): uniqueness commit against `used_`, exact
   // fallback for paths whose every candidate collided, probe assembly.
   std::vector<Probe> probes;
   probes.reserve(n);

@@ -1,20 +1,18 @@
 // Probe construction (§V-B step 3 and §VI header uniqueness): turns cover
 // paths into concrete test packets with headers that (a) traverse the whole
 // tested path, (b) are unique across probes, via rejection sampling backed
-// by the SAT solver when sampling stalls.
+// by an exact fallback (HeaderSpace::lex_min_excluding) when sampling stalls.
 //
 // make_probes runs in two phases. Phase A — per-path input-space computation
 // and header-candidate sampling — is read-only over the snapshot and fans
 // out across worker threads, with path i sampling from its own derived RNG
 // stream. Phase B — the uniqueness commit against the `used_` header pool
-// (and the rare SAT fallback) — is serialized in cover order. Output is
+// (and the rare exact fallback) — is serialized in cover order. Output is
 // therefore bit-identical for any thread count, including 1.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -23,8 +21,6 @@
 #include "core/mlpc.h"
 #include "core/rule_graph.h"
 #include "core/traffic_profile.h"
-#include "sat/session.h"
-#include "sat/solver_config.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -47,8 +43,10 @@ struct Probe {
 
 struct ProbeStats {
   std::uint64_t headers_by_sampling = 0;
+  // Headers from the exact fallback (the paper's SAT query, §VI).
   std::uint64_t headers_by_sat = 0;
-  std::uint64_t sat_failures = 0;  // paths with no unique header available
+  // Paths the exact fallback found no unique header for.
+  std::uint64_t sat_failures = 0;
 
   friend bool operator==(const ProbeStats&, const ProbeStats&) = default;
 };
@@ -60,12 +58,8 @@ struct ProbeEngineConfig {
   // comment). `seed` / `randomized` are unused here — the engine draws all
   // randomness from the caller-provided Rng.
   CommonOptions common;
-  // Header candidates sampled per path before the SAT fallback.
+  // Header candidates sampled per path before the exact fallback.
   int sample_attempts = 16;
-  // Solver knobs for the engine's SAT sessions (budget, restarts,
-  // inprocessing). Replaces the loose conflict-budget parameter the old
-  // sat::solve_header_in API threaded through.
-  sat::SolverConfig sat;
 };
 
 class ProbeEngine {
@@ -94,7 +88,7 @@ class ProbeEngine {
 
   // Phase-B unit, exposed for shard::ShardedProbeEngine: commits the first
   // candidate not colliding with this engine's network-wide `used_` pool
-  // (SAT fallback otherwise) and assembles the probe against `snap` — which
+  // (exact fallback otherwise) and assembles the probe against `snap` — which
   // may be a per-shard snapshot; `path` uses its vertex ids. Serial only,
   // like all phase-B code. Returns nullopt when no unique header exists.
   std::optional<Probe> commit_probe(const AnalysisSnapshot& snap,
@@ -131,10 +125,19 @@ class ProbeEngine {
       const hsa::HeaderSpace& input_space, util::Rng& rng,
       const TrafficProfile* profile);
 
-  // Phase-B helper: first non-colliding candidate, else SAT. Serial only.
+  // Phase-B helper: first non-colliding candidate, else the exact
+  // fallback. Serial only.
   std::optional<hsa::TernaryString> commit_unique_header(
       const hsa::HeaderSpace& input_space,
       const std::vector<hsa::TernaryString>& candidates);
+
+  // Shared tail of both pickers once every candidate collided: the lex-min
+  // header of `input_space` outside `used_`, committed to the pool.
+  std::optional<hsa::TernaryString> exact_fallback(
+      const hsa::HeaderSpace& input_space);
+
+  // Adds a picked header to `used_` and counts it as committed.
+  void commit(const hsa::TernaryString& h);
 
   // Fills in entries / inject switch / expected return for a legal path of
   // `snap` whose header has been chosen.
@@ -142,18 +145,11 @@ class ProbeEngine {
                      const std::vector<VertexId>& path,
                      hsa::TernaryString header);
 
-  // The engine's persistent SAT session for the given header width, created
-  // on first use. The SAT fallback only ever runs in serialized phase-B
-  // code, and session answers are canonical (lex-min), so keeping sessions
-  // per engine preserves make_probes' thread-count determinism.
-  sat::HeaderSession& session_for(int width);
-
   const AnalysisSnapshot* snapshot_;
   ProbeEngineConfig config_;
   util::ThreadPool* pool_;
   std::uint64_t next_probe_id_ = 1;
   std::unordered_set<hsa::TernaryString, hsa::TernaryStringHash> used_;
-  std::unordered_map<int, std::unique_ptr<sat::HeaderSession>> sessions_;
   ProbeStats stats_;
 };
 

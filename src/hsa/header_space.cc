@@ -1,6 +1,7 @@
 #include "hsa/header_space.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -22,6 +23,52 @@ struct Scratch {
 Scratch& scratch() {
   thread_local Scratch s;
   return s;
+}
+
+// Word `w` of the mask that makes every one of `width` bits exact.
+std::uint64_t width_word(int width, int w) {
+  const int bits = std::clamp(width - 64 * w, 0, 64);
+  return bits == 64 ? ~0ULL : (1ULL << bits) - 1;
+}
+
+// Lexicographic order on concrete headers: the lowest differing bit index
+// decides, and the header holding 0 there is the smaller.
+bool lex_less(const TernaryString& a, const TernaryString& b) {
+  for (int w = 0; w < 2; ++w) {
+    const std::uint64_t diff = a.bits_word(w) ^ b.bits_word(w);
+    if (diff != 0) return (a.bits_word(w) & diff & -diff) == 0;
+  }
+  return false;
+}
+
+// The cube's smallest member: every wildcard set to 0.
+TernaryString lex_min_member(const TernaryString& cube) {
+  const int n = cube.width();
+  return TernaryString::from_words(n, cube.bits_word(0), cube.bits_word(1),
+                                   width_word(n, 0), width_word(n, 1));
+}
+
+// The cube's member following `h` in lex order: a binary increment over the
+// wildcard positions, whose least significant digit is the highest index.
+// nullopt when the count overflows (h was the cube's largest member).
+std::optional<TernaryString> next_member(const TernaryString& cube,
+                                         const TernaryString& h) {
+  const int n = cube.width();
+  std::uint64_t bits[2] = {h.bits_word(0), h.bits_word(1)};
+  for (int w = 1; w >= 0; --w) {
+    const std::uint64_t free = ~cube.mask_word(w) & width_word(n, w);
+    const std::uint64_t zeros = free & ~bits[w];
+    if (zeros == 0) {
+      bits[w] &= ~free;  // every wildcard here is 1: carry into word w-1
+      continue;
+    }
+    const int p = 63 - std::countl_zero(zeros);
+    const std::uint64_t above = p == 63 ? 0 : ~0ULL << (p + 1);
+    bits[w] = (bits[w] & ~(free & above)) | (1ULL << p);
+    return TernaryString::from_words(n, bits[0], bits[1], width_word(n, 0),
+                                     width_word(n, 1));
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -227,6 +274,22 @@ std::optional<TernaryString> HeaderSpace::sample(util::Rng& rng) const {
     if (pick <= 0.0) return c.sample(rng);
   }
   return cubes_.back().sample(rng);
+}
+
+std::optional<TernaryString> HeaderSpace::lex_min_excluding(
+    const std::unordered_set<TernaryString, TernaryStringHash>& forbidden)
+    const {
+  std::optional<TernaryString> best;
+  for (const TernaryString& cube : cubes_) {
+    // A cube's walk only moves upward, so it stops once it reaches `best`.
+    std::optional<TernaryString> h = lex_min_member(cube);
+    while (h.has_value() && (!best || lex_less(*h, *best)) &&
+           forbidden.count(*h) != 0) {
+      h = next_member(cube, *h);
+    }
+    if (h.has_value() && (!best || lex_less(*h, *best))) best = std::move(h);
+  }
+  return best;
 }
 
 std::optional<TernaryString> HeaderSpace::any_member() const {

@@ -18,6 +18,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "hsa/ternary.h"
@@ -88,6 +89,16 @@ class HeaderSpace {
   // Deterministically picks some member header (first cube, wildcards -> 0).
   std::optional<TernaryString> any_member() const;
 
+  // The lexicographically smallest concrete header of the set (H[0] most
+  // significant, 0 < 1) that is not in `forbidden`; nullopt when every
+  // member is forbidden. This is the paper's §VI unique-header query, which
+  // the paper answers with MiniSat: each cube is walked from its lex-min
+  // member past the forbidden headers inside it (at most |forbidden ∩ cube|
+  // + 1 steps), and the answer is the minimum over cubes.
+  std::optional<TernaryString> lex_min_excluding(
+      const std::unordered_set<TernaryString, TernaryStringHash>& forbidden)
+      const;
+
   std::string to_string() const;
 
   bool operator==(const HeaderSpace& o) const;
@@ -105,8 +116,8 @@ class HeaderSpace {
   std::vector<TernaryString> cubes_;
 };
 
-// Difference of two single cubes a − b as a cube list (helper shared with the
-// SAT encoding). Result cubes are pairwise disjoint.
+// Difference of two single cubes a − b as a cube list (the scalar reference
+// for the arena kernels). Result cubes are pairwise disjoint.
 std::vector<TernaryString> cube_difference(const TernaryString& a,
                                            const TernaryString& b);
 

@@ -115,14 +115,13 @@ ProbeSet ShardedProbeEngine::generate(util::Rng& rng) {
   }
 
   // Superstep 2 (serial, canonical order): merge through one network-wide
-  // committer — the global §VI uniqueness pool and SAT sessions — shard
+  // committer — the global §VI uniqueness pool — shard
   // covers first (shard asc, path asc), then boundary stitches (global edge
   // order). Probe ids are the merged sequence.
   telemetry::TraceSpan merge_span("shard.merge");
   core::ProbeEngineConfig pc;
   pc.common.threads = 1;
   pc.sample_attempts = config_.sample_attempts;
-  pc.sat = config_.sat;
   core::ProbeEngine committer(snap_->full(), pc);
   ProbeSet out;
   out.shard_cover_sizes.assign(static_cast<std::size_t>(k), 0);

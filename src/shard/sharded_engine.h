@@ -7,7 +7,7 @@
 // shard_count=1 is bit-identical to the unsharded pipeline. Superstep 2
 // (serial, canonical order): covers merge shard-ascending / path-ascending
 // through one network-wide ProbeEngine committer (global header-uniqueness
-// pool + SAT sessions, §VI), then every cross-shard boundary edge gets a
+// pool, §VI), then every cross-shard boundary edge gets a
 // two-vertex stitch probe, in global sorted edge order. The merged output
 // is therefore a pure function of (snapshot, layout, config, rng state) —
 // never of thread count or scheduling.
@@ -19,7 +19,6 @@
 
 #include "core/common_options.h"
 #include "core/probe_engine.h"
-#include "sat/solver_config.h"
 #include "shard/sharded_snapshot.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -32,7 +31,6 @@ struct ShardedEngineConfig {
   std::size_t mlpc_search_budget = 4096;
   int mlpc_restarts = 4;
   int sample_attempts = 16;
-  sat::SolverConfig sat;
 };
 
 struct ProbeSet {

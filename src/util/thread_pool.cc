@@ -53,10 +53,10 @@ void ThreadPool::enqueue(std::function<void()> task) {
 }
 
 std::size_t ThreadPool::resolve_thread_count(int requested) {
-  if (requested <= 0) {
+  if (requested == 0) {
     return std::max(1u, std::thread::hardware_concurrency());
   }
-  return static_cast<std::size_t>(requested);
+  return static_cast<std::size_t>(std::max(requested, 1));
 }
 
 void ThreadPool::worker_loop() {

@@ -1,9 +1,14 @@
 // Unit + property tests for hsa::HeaderSpace: union/intersect/subtract
-// algebra, the set-identities the rule-graph construction relies on, and
-// randomized membership cross-checks against a brute-force oracle.
+// algebra, the set-identities the rule-graph construction relies on,
+// randomized membership cross-checks against a brute-force oracle, and the
+// exact unique-header query lex_min_excluding.
 #include "hsa/header_space.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -181,6 +186,200 @@ TEST(HeaderSpace, ChainedSubtractionStaysBoundedAndExact) {
   HeaderSpace fold = HeaderSpace::full(w);
   for (const auto& c : holes) fold = fold.subtract(c);
   EXPECT_TRUE(result == fold);
+}
+
+using HeaderSet = std::unordered_set<TernaryString, TernaryStringHash>;
+
+// Brute force: the first header of `space` in lex order (exact(v) walks
+// H[0..w-1] as a binary number, H[0] most significant) not in `forbidden`.
+std::optional<TernaryString> oracle_lex_min(const HeaderSpace& space,
+                                            const HeaderSet& forbidden) {
+  const int w = space.width();
+  for (std::uint64_t v = 0; v < (std::uint64_t{1} << w); ++v) {
+    const TernaryString h = TernaryString::exact(v, w);
+    if (space.contains(h) && forbidden.count(h) == 0) return h;
+  }
+  return std::nullopt;
+}
+
+TernaryString random_cube(util::Rng& rng, int width, double wild_p) {
+  TernaryString t(width);
+  for (int k = 0; k < width; ++k) {
+    if (rng.next_bool(wild_p)) continue;  // keep wildcard
+    t.set(k, rng.next_bool(0.5) ? Trit::kOne : Trit::kZero);
+  }
+  return t;
+}
+
+TEST(HeaderSpaceLexMin, EmptySpaceHasNoAnswer) {
+  EXPECT_FALSE(HeaderSpace::empty(8).lex_min_excluding({}).has_value());
+  EXPECT_FALSE(HeaderSpace::empty(8)
+                   .lex_min_excluding({ts("00000000")})
+                   .has_value());
+}
+
+TEST(HeaderSpaceLexMin, FindsHeaderInDifference) {
+  // The §V-A use case: the smallest header in match − overlap.
+  const TernaryString match = ts("001xxxxx");
+  const TernaryString overlap = ts("00100xxx");
+  const auto h = HeaderSpace(match).subtract(overlap).lex_min_excluding({});
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->to_string(), "00101000");
+}
+
+TEST(HeaderSpaceLexMin, UniquenessExhaustsTinySpace) {
+  // A 2-header space yields exactly two distinct headers, then nothing.
+  const HeaderSpace space(ts("0110101x"));
+  HeaderSet used;
+  for (const char* expected : {"01101010", "01101011"}) {
+    const auto h = space.lex_min_excluding(used);
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->to_string(), expected);
+    used.insert(*h);
+  }
+  EXPECT_FALSE(space.lex_min_excluding(used).has_value());
+}
+
+TEST(HeaderSpaceLexMin, DeepOverlapChain) {
+  // 65-deep nested prefixes (the campus §VIII-A regime) subtracted from the
+  // full 96-bit space: the residual is every header with a 0 among H[0..64],
+  // whose smallest member is all zeros; forbidding it moves the answer to
+  // the next header in lex order.
+  HeaderSpace space = HeaderSpace::full(96);
+  TernaryString pinned = TernaryString::wildcard(96);
+  for (int depth = 0; depth < 65; ++depth) {
+    pinned.set(depth, Trit::kOne);
+    space = space.subtract(pinned);
+  }
+  const std::string zeros(96, '0');
+  const auto h = space.lex_min_excluding({});
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->to_string(), zeros);
+  const auto next = space.lex_min_excluding({*h});
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->to_string(), zeros.substr(0, 95) + "1");
+}
+
+TEST(HeaderSpaceLexMin, ExhaustedCubeFallsThroughToTheNextCube) {
+  const HeaderSpace one(ts("0x"));
+  const HeaderSet all_of_one = {ts("00"), ts("01")};
+  EXPECT_FALSE(one.lex_min_excluding(all_of_one).has_value());
+
+  const HeaderSpace two = one.union_with(HeaderSpace(ts("1x")));
+  const auto h = two.lex_min_excluding(all_of_one);
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->to_string(), "10");
+}
+
+TEST(HeaderSpaceLexMin, OverlappingCubesTakeTheMinimumOverCubes) {
+  // 0xx1 and 00xx overlap in 00x1; the answer can come from either cube.
+  const HeaderSpace s =
+      HeaderSpace(ts("0xx1")).union_with(HeaderSpace(ts("00xx")));
+  ASSERT_EQ(s.cube_count(), 2u);
+  EXPECT_EQ(s.lex_min_excluding({})->to_string(), "0000");
+  EXPECT_EQ(s.lex_min_excluding({ts("0000"), ts("0001")})->to_string(),
+            "0010");
+  EXPECT_EQ(s.lex_min_excluding({ts("0000"), ts("0001"), ts("0010"),
+                                 ts("0011")})
+                ->to_string(),
+            "0101");
+}
+
+// Forbidding the first k of `members` (the cube's members in lex order)
+// must give member k; forbidding all of them must give nothing.
+void expect_walk_order(const std::string& cube,
+                       const std::vector<std::string>& members) {
+  const HeaderSpace s(ts(cube.c_str()));
+  HeaderSet forbidden;
+  for (const std::string& m : members) {
+    const auto h = s.lex_min_excluding(forbidden);
+    ASSERT_TRUE(h.has_value()) << m;
+    EXPECT_EQ(h->to_string(), m);
+    forbidden.insert(ts(m.c_str()));
+  }
+  EXPECT_FALSE(s.lex_min_excluding(forbidden).has_value());
+}
+
+TEST(HeaderSpaceLexMin, CarryCrossesTheWordBoundary) {
+  // Width 64: wildcards at H[62], H[63], the last bits of word 0.
+  {
+    const std::string z(62, '0');
+    expect_walk_order(z + "xx", {z + "00", z + "01", z + "10", z + "11"});
+  }
+  // Width 65: H[63] is in word 0, H[64] in word 1; 01 -> 10 carries across.
+  {
+    const std::string z(63, '0');
+    expect_walk_order(z + "xx", {z + "00", z + "01", z + "10", z + "11"});
+  }
+  // Width 100: wildcards at H[10], H[63], H[64], H[99] over mixed exact
+  // bits. Member c sets those positions to c's binary digits, H[10] most
+  // significant, so members 3 -> 4 and 7 -> 8 carry from word 1 into word 0.
+  {
+    std::string base(100, '0');
+    for (int k = 0; k < 100; k += 3) base[k] = '1';
+    const int wild[4] = {10, 63, 64, 99};
+    std::string cube = base;
+    for (const int k : wild) cube[k] = 'x';
+    std::vector<std::string> members;
+    for (int c = 0; c < 16; ++c) {
+      std::string h = base;
+      for (int d = 0; d < 4; ++d) {
+        h[wild[d]] = ((c >> (3 - d)) & 1) != 0 ? '1' : '0';
+      }
+      members.push_back(h);
+    }
+    expect_walk_order(cube, members);
+  }
+}
+
+TEST(HeaderSpaceLexMin, MatchesBruteForceOracle) {
+  util::Rng rng(77);
+  int answered = 0;
+  int exhausted = 0;
+  for (int w = 1; w <= 16; ++w) {
+    for (int q = 0; q < 12; ++q) {
+      HeaderSpace space(w);
+      const int cubes = 1 + static_cast<int>(rng.next_below(4));
+      for (int i = 0; i < cubes; ++i) {
+        space = space.union_with(HeaderSpace(random_cube(rng, w, 0.6)));
+      }
+      if (rng.next_bool(0.4)) space = space.subtract(random_cube(rng, w, 0.5));
+
+      // Forbid a prefix of the space's members in lex order (forcing long
+      // walks; sometimes the whole space) plus random headers, most of
+      // them outside the space.
+      HeaderSet forbidden;
+      if (q % 4 == 3) {
+        for (std::uint64_t v = 0; v < (std::uint64_t{1} << w); ++v) {
+          const TernaryString h = TernaryString::exact(v, w);
+          if (space.contains(h)) forbidden.insert(h);
+        }
+      }
+      const int prefix = static_cast<int>(rng.next_below(6));
+      for (int i = 0; i < prefix; ++i) {
+        const auto m = oracle_lex_min(space, forbidden);
+        if (!m.has_value()) break;
+        forbidden.insert(*m);
+      }
+      for (int i = 0; i < 4; ++i) {
+        forbidden.insert(random_cube(rng, w, 0.0));
+      }
+
+      const auto expected = oracle_lex_min(space, forbidden);
+      const auto got = space.lex_min_excluding(forbidden);
+      ASSERT_EQ(expected.has_value(), got.has_value())
+          << "width " << w << " query " << q << ": " << space.to_string();
+      if (expected.has_value()) {
+        ++answered;
+        EXPECT_EQ(got->to_string(), expected->to_string())
+            << "width " << w << " query " << q << ": " << space.to_string();
+      } else {
+        ++exhausted;
+      }
+    }
+  }
+  EXPECT_GT(answered, 100);
+  EXPECT_GT(exhausted, 10);
 }
 
 }  // namespace

@@ -176,17 +176,16 @@ TEST(Linter, SnapshotRunFindsRuleGraphCycle) {
             Severity::kError);
 }
 
-TEST(Linter, SnapshotRunDischargesEdgesThroughSat) {
-  // A clean forwarding chain: the SAT cross-check must agree with HSA on
-  // every edge (no unsat-edge diagnostics), with no truncation at default
-  // budget.
+TEST(Linter, SnapshotRunOnCleanChainReportsNothing) {
+  // A clean two-switch forwarding chain: the full snapshot battery finds no
+  // error and emits no info note.
   Fixture f;
   f.add(0, 0, 10, ts("00xxxxxx"), flow::Action::output(f.port01()));
   f.add(1, 0, 10, ts("00xxxxxx"), flow::Action::output(f.host(1)));
   const core::AnalysisSnapshot snapshot =
       core::AnalysisSnapshot::build(f.rules);
   const LintReport report = Linter().run(snapshot);
-  EXPECT_EQ(report.count(CheckId::kUnsatEdge), 0u) << report.to_string();
+  EXPECT_FALSE(report.has_errors()) << report.to_string();
   EXPECT_EQ(report.count(Severity::kInfo), 0u) << report.to_string();
 }
 

@@ -1,14 +1,20 @@
 // Tests for probe synthesis: header legality and uniqueness, expected
-// return headers under set-field rewrites, and the traffic-profile sampler.
+// return headers under set-field rewrites, the traffic-profile sampler, and
+// the exact unique-header fallback against recorded golden answers.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "core/analysis_snapshot.h"
 #include "core/mlpc.h"
 #include "core/probe_engine.h"
 #include "core/rule_graph.h"
 #include "core/traffic_profile.h"
+#include "flow/campus.h"
 #include "flow/synthesizer.h"
 #include "topo/generator.h"
 
@@ -125,6 +131,74 @@ TEST(ProbeEngine, ResetAllowsHeaderReuse) {
       << "2-header space must exhaust after two unique probes";
   engine.reset_uniqueness();
   EXPECT_TRUE(engine.make_probe({0}, rng).has_value());
+}
+
+// One line per entry of a golden fixture under tests/data/.
+std::vector<std::string> read_golden(const std::string& name) {
+  std::ifstream in(std::string(SDNPROBE_TEST_DATA_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << "missing golden fixture " << name;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// The goldens were recorded from the paper-style CDCL SAT session that the
+// exact fallback replaced; both answer the lex-min query, so every line must
+// match byte for byte.
+TEST(ExactFallback, CampusExclusionStreamMatchesGolden) {
+  // The campus dataset's first 64 deep-overlap input spaces (>= 8
+  // higher-priority overlaps), queried 4 rounds over; every answer joins
+  // one global forbidden pool, like the probe engine's §VI uniqueness pool.
+  const flow::RuleSet rs = flow::make_campus_ruleset(flow::CampusConfig{});
+  const RuleGraph graph(rs);
+  std::vector<const hsa::HeaderSpace*> spaces;
+  for (VertexId v = 0; v < graph.vertex_count() && spaces.size() < 64; ++v) {
+    const flow::FlowEntry& e = rs.entry(graph.entry_of(v));
+    if (rs.table(e.switch_id, e.table_id).overlapping_above(e).size() < 8) {
+      continue;
+    }
+    spaces.push_back(&graph.in_space(v));
+  }
+  ASSERT_EQ(spaces.size(), 64u);
+  std::unordered_set<hsa::TernaryString, hsa::TernaryStringHash> forbidden;
+  std::vector<std::string> stream;
+  for (int round = 0; round < 4; ++round) {
+    for (const hsa::HeaderSpace* space : spaces) {
+      const auto h = space->lex_min_excluding(forbidden);
+      stream.push_back(h.has_value() ? h->to_string() : std::string());
+      if (h.has_value()) forbidden.insert(*h);
+    }
+  }
+  EXPECT_EQ(stream, read_golden("campus_exclusion_stream.golden"));
+}
+
+TEST(ExactFallback, CampusProbesMatchGoldenAtAnyThreadCount) {
+  // sample_attempts = 0 forces every probe header through the exact
+  // fallback; the probe set must equal the golden at 1, 2 and 8 threads.
+  const flow::RuleSet rs = flow::make_campus_ruleset(flow::CampusConfig{});
+  const RuleGraph graph(rs);
+  const AnalysisSnapshot snap(graph);
+  const Cover cover = MlpcSolver().solve(snap);
+  const std::vector<std::string> golden =
+      read_golden("campus_fallback_probes.golden");
+  ASSERT_FALSE(golden.empty());
+  for (const int threads : {1, 2, 8}) {
+    ProbeEngineConfig cfg;
+    cfg.common.threads = threads;
+    cfg.sample_attempts = 0;
+    ProbeEngine engine(snap, cfg);
+    util::Rng rng(11);
+    const auto probes = engine.make_probes(cover, rng);
+    EXPECT_EQ(engine.stats().headers_by_sampling, 0u);
+    EXPECT_EQ(engine.stats().headers_by_sat, probes.size());
+    std::vector<std::string> rendered;
+    rendered.reserve(probes.size());
+    for (const Probe& p : probes) {
+      rendered.push_back(p.header.to_string() + "|" +
+                         p.expected_return.to_string());
+    }
+    EXPECT_EQ(rendered, golden) << "at " << threads << " threads";
+  }
 }
 
 TEST(TrafficProfileTest, SampleBiasesTowardPopularCube) {
