@@ -175,7 +175,8 @@ int main(int argc, char** argv) {
   spec.rule_target = full ? 4000 : 1500;
   spec.seed = 3;
   report.set_param("switches", spec.switches);
-  report.set_param("rule_target", std::uint64_t{spec.rule_target});
+  report.set_param("rule_target",
+                   static_cast<std::uint64_t>(spec.rule_target));
   report.set_param("churn_per_round", std::uint64_t{kChurnPerRound});
   report.set_param("max_rounds", std::uint64_t{kMaxRounds});
 

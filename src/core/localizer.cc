@@ -210,10 +210,11 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
     }
 
     // Header uniqueness is scoped to the concurrently installed test points:
-    // restart the pool from this round's headers so sliced-children headers
+    // the pool restarts from this round's probes, so sliced-children headers
     // are free to re-land on the same traffic-period cube as their parent.
-    engine_.reset_uniqueness();
-    for (const PendingProbe& p : pending) engine_.note_used(p.probe.header);
+    // Only slicing draws from the pool, so a round fills it on its first
+    // slice and a round that slices nothing skips the work.
+    bool pool_filled = false;
 
     // --- Install test points (batched FlowMods: one control RTT). ---
     std::vector<ActiveProbe> active;
@@ -458,6 +459,11 @@ DetectionReport FaultLocalizer::run(RoundCallback callback) {
             verts.begin(), verts.begin() + static_cast<std::ptrdiff_t>(mid));
         const std::vector<VertexId> right(
             verts.begin() + static_cast<std::ptrdiff_t>(mid), verts.end());
+        if (!pool_filled) {
+          engine_.reset_uniqueness();
+          for (const PendingProbe& pp : pending) engine_.note_used(pp.probe);
+          pool_filled = true;
+        }
         for (const auto& half : {left, right}) {
           auto p = engine_.make_probe(half, rng_, active_profile());
           if (p.has_value()) queue_probe(std::move(*p), config_.linger_rounds);

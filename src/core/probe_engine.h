@@ -1,13 +1,26 @@
 // Probe construction (§V-B step 3 and §VI header uniqueness): turns cover
 // paths into concrete test packets with headers that (a) traverse the whole
 // tested path, (b) are unique across probes, via rejection sampling backed
-// by an exact fallback (HeaderSpace::lex_min_excluding) when sampling stalls.
+// by an exact fallback (HeaderSpace::lex_min_excluding) when sampling stalls,
+// and (c) never meet another probe's test entry before their own terminal.
+//
+// (c) is what uniqueness of the *injected* header misses once set fields
+// rewrite headers in flight: a probe whose header, at some hop on switch S,
+// equals the expected return of a probe terminating on S is punted to the
+// controller there, mid-path (the controller keeps one test table per
+// switch, so every test entry on S sees every packet redirected into it).
+// The engine therefore also refuses a header when its arrival header at a
+// non-terminal hop equals a committed probe's (terminal switch, expected
+// return), or when its own (terminal switch, expected return) equals a
+// committed probe's arrival header at a non-terminal hop on that switch.
+// Equal expected returns at the terminal itself are harmless: both probes
+// are punted where they should be.
 //
 // make_probes runs in two phases. Phase A — per-path input-space computation
 // and header-candidate sampling — is read-only over the snapshot and fans
 // out across worker threads, with path i sampling from its own derived RNG
-// stream. Phase B — the uniqueness commit against the `used_` header pool
-// (and the rare exact fallback) — is serialized in cover order. Output is
+// stream. Phase B — the uniqueness commit against the committed probes (and
+// the rare exact fallback) — is serialized in cover order. Output is
 // therefore bit-identical for any thread count, including 1.
 #pragma once
 
@@ -64,36 +77,10 @@ struct ProbeEngineConfig {
 
 class ProbeEngine {
  public:
-  // Phase-A output for one path: its input space plus the header candidates
-  // drawn from the path's derived RNG stream.
-  struct PathCandidates {
-    hsa::HeaderSpace input;
-    std::vector<hsa::TernaryString> samples;
-  };
-
   explicit ProbeEngine(const AnalysisSnapshot& snapshot,
                        ProbeEngineConfig config = {},
                        util::ThreadPool* pool = nullptr)
       : snapshot_(&snapshot), config_(config), pool_(pool) {}
-
-  // Phase-A unit, exposed for shard::ShardedProbeEngine: the input space of
-  // `path` (vertices of `snap`) and up to `attempts` candidates drawn from
-  // util::Rng(stream_seed) — exactly what make_probes computes for path i
-  // with stream_seed = derive(base, i). Pure function of its arguments;
-  // safe to call concurrently from worker threads.
-  static PathCandidates sample_path_candidates(
-      const AnalysisSnapshot& snap, const std::vector<VertexId>& path,
-      std::uint64_t stream_seed, int attempts,
-      const TrafficProfile* profile = nullptr);
-
-  // Phase-B unit, exposed for shard::ShardedProbeEngine: commits the first
-  // candidate not colliding with this engine's network-wide `used_` pool
-  // (exact fallback otherwise) and assembles the probe against `snap` — which
-  // may be a per-shard snapshot; `path` uses its vertex ids. Serial only,
-  // like all phase-B code. Returns nullopt when no unique header exists.
-  std::optional<Probe> commit_probe(const AnalysisSnapshot& snap,
-                                    const std::vector<VertexId>& path,
-                                    const PathCandidates& candidates);
 
   // Builds probes for every path of `cover`. Paths whose header synthesis
   // fails (exhausted header space) are skipped; see stats().sat_failures.
@@ -108,48 +95,118 @@ class ProbeEngine {
                                   util::Rng& rng,
                                   const TrafficProfile* profile = nullptr);
 
-  // Forget previously issued headers (e.g. between detection rounds when
+  // Forget previously issued probes (e.g. between detection rounds when
   // test points were torn down). Probe-header uniqueness (§VI) only matters
   // among *concurrently installed* test points, so callers reset per round
-  // and re-register the headers still in flight via note_used().
+  // and re-register the probes still in flight via note_used().
   void reset_uniqueness();
 
-  // Registers an externally retained header (a probe reused from a previous
-  // round) so new headers keep differing from it.
-  void note_used(const hsa::TernaryString& header) { used_.insert(header); }
+  // Registers an externally retained probe (one reused from a previous round
+  // or epoch, built over this engine's snapshot) so new probes keep
+  // differing from its header and keep clear of its test entry and of the
+  // headers it carries through each switch.
+  void note_used(const Probe& probe);
 
   const ProbeStats& stats() const { return stats_; }
 
  private:
-  std::optional<hsa::TernaryString> pick_unique_header(
-      const hsa::HeaderSpace& input_space, util::Rng& rng,
-      const TrafficProfile* profile);
+  // Phase-A output for one path: its input space plus the header candidates
+  // drawn from the path's derived RNG stream.
+  struct PathCandidates {
+    hsa::HeaderSpace input;
+    std::vector<hsa::TernaryString> samples;
+  };
 
-  // Phase-B helper: first non-colliding candidate, else the exact
-  // fallback. Serial only.
-  std::optional<hsa::TernaryString> commit_unique_header(
-      const hsa::HeaderSpace& input_space,
-      const std::vector<hsa::TernaryString>& candidates);
+  // (switch, concrete header) pairs a switch's test table can see, each
+  // flagged as a committed probe's test entry and/or an arrival at one of
+  // its non-terminal hops. Open addressing with generation stamps: clear()
+  // is O(1), and once grown the table registers without allocating —
+  // callers re-register every retained probe per round or churn batch. A
+  // slot keeps only the header's value words: a concrete header is its
+  // width and bits.
+  class HopPool {
+   public:
+    static constexpr std::uint8_t kTerminal = 1;
+    static constexpr std::uint8_t kTransit = 2;
 
-  // Shared tail of both pickers once every candidate collided: the lex-min
-  // header of `input_space` outside `used_`, committed to the pool.
-  std::optional<hsa::TernaryString> exact_fallback(
-      const hsa::HeaderSpace& input_space);
+    // The flags of (sw, header); 0 when absent.
+    std::uint8_t flags(flow::SwitchId sw,
+                       const hsa::TernaryString& header) const;
+    void add(flow::SwitchId sw, const hsa::TernaryString& header,
+             std::uint8_t flag);
+    void clear();
+    bool empty() const { return size_ == 0; }
 
-  // Adds a picked header to `used_` and counts it as committed.
-  void commit(const hsa::TernaryString& h);
+   private:
+    struct Slot {
+      std::uint64_t bits0 = 0;
+      std::uint64_t bits1 = 0;
+      flow::SwitchId sw = -1;
+      std::uint32_t generation = 0;  // live iff equal to generation_
+      std::uint8_t width = 0;
+      std::uint8_t flags = 0;
 
-  // Fills in entries / inject switch / expected return for a legal path of
-  // `snap` whose header has been chosen.
-  Probe finish_probe(const AnalysisSnapshot& snap,
-                     const std::vector<VertexId>& path,
-                     hsa::TernaryString header);
+      bool same_key(const Slot& o) const {
+        return sw == o.sw && width == o.width && bits0 == o.bits0 &&
+               bits1 == o.bits1;
+      }
+    };
+    static Slot key_of(flow::SwitchId sw, const hsa::TernaryString& header);
+    // Index of the live slot with `key`'s key, else of the free slot where
+    // it would go.
+    std::size_t find(const Slot& key) const;
+
+    std::vector<Slot> slots_;  // power-of-two size, at most 3/4 full
+    std::uint32_t generation_ = 1;
+    std::size_t size_ = 0;
+  };
+
+  // Phase-A unit: the input space of `path` and up to `attempts` candidates
+  // drawn from util::Rng(stream_seed). Pure function of its arguments; safe
+  // to call concurrently from worker threads.
+  static PathCandidates sample_path_candidates(
+      const AnalysisSnapshot& snap, const std::vector<VertexId>& path,
+      std::uint64_t stream_seed, int attempts, const TrafficProfile* profile);
+
+  // Phase-B unit: the probe for the first admissible candidate, else the
+  // exact fallback's. Serial only.
+  std::optional<Probe> commit_first_admissible(
+      const std::vector<VertexId>& path, const PathCandidates& candidates);
+
+  // The probe `header` makes of `path`, committed, when it passes both
+  // uniqueness checks; nullopt otherwise.
+  std::optional<Probe> try_commit(const std::vector<VertexId>& path,
+                                  const hsa::TernaryString& header);
+
+  // Once every sampled candidate was refused: the probe for the lex-min
+  // admissible header of `input`, committed; nullopt when none exists.
+  std::optional<Probe> exact_fallback(const std::vector<VertexId>& path,
+                                      hsa::HeaderSpace input);
+
+  // The probe `header` makes of a legal `path` (no id yet, not committed).
+  Probe assemble(const std::vector<VertexId>& path,
+                 hsa::TernaryString header) const;
+
+  // nullopt when `p` meets no committed probe's test entry before its
+  // terminal and no committed probe meets `p`'s test entry. Otherwise the
+  // cube of injected headers that collide the same way at the same hop:
+  // `p`'s arrival header there, pulled back through the set fields before
+  // that hop.
+  std::optional<hsa::TernaryString> collision(const Probe& p) const;
+
+  // Assigns the next probe id and registers `p` (note_used).
+  void commit(Probe& p);
 
   const AnalysisSnapshot* snapshot_;
   ProbeEngineConfig config_;
   util::ThreadPool* pool_;
   std::uint64_t next_probe_id_ = 1;
+  // Injected headers of committed probes.
   std::unordered_set<hsa::TernaryString, hsa::TernaryStringHash> used_;
+  // (terminal switch, expected return) of committed probes, flagged
+  // kTerminal, and (switch, arrival header) at each of their non-terminal
+  // hops, flagged kTransit.
+  HopPool hops_;
   ProbeStats stats_;
 };
 

@@ -41,17 +41,6 @@ class RuleGraph {
   // packet; they are reported via dead_entries()).
   explicit RuleGraph(const flow::RuleSet& rules);
 
-  // Switch-filtered construction (per-shard slicing, DESIGN.md §17): only
-  // entries on switches with keep_switch[sw] != 0 become vertices. Because
-  // an entry's input space depends solely on same-table priority structure,
-  // every kept vertex has the same in/out spaces as in the full graph; the
-  // only difference is that edges to/from excluded switches are absent —
-  // exactly the cross-shard boundary edges a ShardedSnapshot tracks
-  // separately. Entries on excluded switches are out of scope entirely
-  // (neither vertices nor dead entries).
-  RuleGraph(const flow::RuleSet& rules,
-            const std::vector<std::uint8_t>& keep_switch);
-
   const flow::RuleSet& rules() const { return *rules_; }
 
   int vertex_count() const { return static_cast<int>(entry_of_.size()); }
@@ -148,9 +137,6 @@ class RuleGraph {
       std::size_t max_paths_per_vertex = 100000) const;
 
  private:
-  // Shared construction body; `keep_switch` null = keep every switch.
-  void build(const std::vector<std::uint8_t>* keep_switch);
-
   // Removes every edge incident to v (both directions).
   void detach_vertex(VertexId v);
   // Rebuilds v's edges from its current in/out spaces by scanning the

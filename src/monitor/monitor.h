@@ -57,7 +57,6 @@
 #include "core/probe_engine.h"
 #include "core/rule_graph.h"
 #include "flow/ruleset.h"
-#include "shard/partition.h"
 #include "sim/event_loop.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -136,15 +135,6 @@ struct MonitorConfig {
   bool verify_invariants = false;
   analysis::InvariantSet invariants;
   analysis::VerifierConfig verifier;
-  // Rule-graph sharding (src/shard/, DESIGN.md §17). 1 = the unsharded
-  // pipeline, bit-for-bit. With > 1 the monitor partitions the switches
-  // once at construction (shard::make_layout over epoch 1, seeded from
-  // `common.seed`), regenerates covers per shard stitched with boundary
-  // probes, and routes each churn batch's repair to the affected shards
-  // only: greedy re-cover paths stay inside one shard, and cross-shard
-  // stitch probes are refreshed just for boundary edges incident to the
-  // batch's touched vertices.
-  int shard_count = 1;
 };
 
 // Cumulative churn/repair accounting.
@@ -315,18 +305,6 @@ class Monitor {
   void regenerate_probes();
   // Keeps probes untouched by `touched`, covers the remainder greedily.
   void repair_probes(const std::vector<core::VertexId>& touched);
-  // Sharded repair routing (config.shard_count > 1): re-covers only the
-  // shards owning a touched or dropped-probe vertex, keeping greedy paths
-  // inside one shard, then refreshes boundary stitch probes for cross-shard
-  // edges incident to the affected region. `dropped` holds the paths of
-  // probes the keep-filter discarded.
-  void repair_probes_sharded(const std::vector<core::VertexId>& touched,
-                             const std::vector<std::vector<core::VertexId>>&
-                                 dropped,
-                             core::ProbeEngine& engine, util::Rng& rng);
-  // Shard owning a vertex of `snap` (valid only when sharding is on).
-  int shard_of_vertex(const core::AnalysisSnapshot& snap,
-                      core::VertexId v) const;
   // Active vertices not covered by probes_, formed into legal paths.
   std::vector<std::vector<core::VertexId>> uncovered_paths() const;
   // Drops probes traversing a flagged switch (they would fail every round
@@ -347,10 +325,6 @@ class Monitor {
   MonitorConfig config_;
   core::RuleGraph graph_;  // the one mutable graph; mutated between rounds
   std::unique_ptr<util::ThreadPool> pool_;  // null when serial
-  // Fixed switch partition, computed once over epoch 1 (empty when
-  // config.shard_count == 1). Churn never moves a switch between shards;
-  // re-partitioning would invalidate every probe's shard attribution.
-  shard::ShardLayout layout_;
 
   mutable std::mutex snapshot_mu_;  // guards snapshot_ pointer swaps only
   std::shared_ptr<const core::AnalysisSnapshot> snapshot_;

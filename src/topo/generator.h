@@ -23,35 +23,12 @@ struct GeneratorConfig {
   double min_latency_s = 0.5e-3;
   double max_latency_s = 2.0e-3;
   std::uint64_t seed = 1;
-  // Regional structure for ISP-scale topologies (DESIGN.md §17). 0 keeps
-  // the legacy single-region generator (make_rocketfuel_like, bit-identical
-  // outputs to earlier releases). With region_count >= 1,
-  // make_regional_rocketfuel_like splits node_count switches into
-  // contiguous regions, generates each as its own rocketfuel-like subgraph
-  // with O(1)-amortized preferential attachment (the legacy generator's
-  // per-pick degree scan is O(n²) total and stalls past a few thousand
-  // nodes), and links the regions in a ring via gateway links. The region
-  // assignment is returned as partition ground truth for shard layouts.
-  int region_count = 0;
-  int gateway_links_per_region = 2;
 };
 
 // Generates a connected ISP-like topology per the config. link_count is
 // honored exactly when feasible (it must be >= node_count - 1 for
 // connectivity and <= n*(n-1)/2); otherwise it is clamped.
 Graph make_rocketfuel_like(const GeneratorConfig& config);
-
-// A generated topology plus its per-node region assignment (empty when the
-// legacy generator produced the graph, i.e. region_count == 0).
-struct RegionalTopology {
-  Graph graph;
-  std::vector<int> region_of;
-};
-
-// Regional variant: region_count contiguous regions in a gateway ring,
-// deterministic under seed, O(n + links) construction. Falls back to the
-// legacy generator (empty region_of) when config.region_count == 0.
-RegionalTopology make_regional_rocketfuel_like(const GeneratorConfig& config);
 
 // The five Table II topology presets (switch & link counts from the paper).
 struct TableTwoPreset {

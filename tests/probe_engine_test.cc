@@ -1,6 +1,7 @@
 // Tests for probe synthesis: header legality and uniqueness, expected
-// return headers under set-field rewrites, the traffic-profile sampler, and
-// the exact unique-header fallback against recorded golden answers.
+// return headers under set-field rewrites, probes kept clear of each other's
+// test entries, the traffic-profile sampler, and the exact unique-header
+// fallback against recorded golden answers.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,11 +10,14 @@
 #include <unordered_set>
 #include <vector>
 
+#include "controller/controller.h"
 #include "core/analysis_snapshot.h"
+#include "core/localizer.h"
 #include "core/mlpc.h"
 #include "core/probe_engine.h"
 #include "core/rule_graph.h"
 #include "core/traffic_profile.h"
+#include "dataplane/network.h"
 #include "flow/campus.h"
 #include "flow/synthesizer.h"
 #include "topo/generator.h"
@@ -131,6 +135,82 @@ TEST(ProbeEngine, ResetAllowsHeaderReuse) {
       << "2-header space must exhaust after two unique probes";
   engine.reset_uniqueness();
   EXPECT_TRUE(engine.make_probe({0}, rng).has_value());
+}
+
+// Two cover paths converging on entry r after a set field:
+//
+//   A: u (sw0, 0xxxxxxx, sets H[0] = 1) -> r (sw1, 1xxxxxxx) -> w (sw2)
+//   B: r alone, so B's test entry sits in sw1's test table
+//
+// With every header from the exact fallback, B's lex-min header is
+// 10000000 and A's lex-min header 00000000 reaches r as 10000000 too. Unique
+// injected headers alone let both through; A then meets B's test entry at
+// r and is punted to the controller at sw1, mid-path, on a fault-free
+// network. Either commit order must keep the two apart, so a fault-free
+// episode loses no probe and ends after one round.
+TEST(ProbeEngine, ConvergingSetFieldPathsKeepClearOfTestEntries) {
+  topo::Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  flow::RuleSet rs(g, 8);
+  flow::FlowEntry u;
+  u.switch_id = 0;
+  u.priority = 10;
+  u.match = ts("0xxxxxxx");
+  u.set_field = ts("1xxxxxxx");
+  u.action = flow::Action::output(*rs.ports().port_to(0, 1));
+  const flow::EntryId u_id = rs.add_entry(u);
+  flow::FlowEntry r;
+  r.switch_id = 1;
+  r.priority = 10;
+  r.match = ts("1xxxxxxx");
+  r.action = flow::Action::output(*rs.ports().port_to(1, 2));
+  const flow::EntryId r_id = rs.add_entry(r);
+  flow::FlowEntry w;
+  w.switch_id = 2;
+  w.priority = 10;
+  w.match = ts("1xxxxxxx");
+  w.action = flow::Action::output(rs.ports().host_port(2));
+  const flow::EntryId w_id = rs.add_entry(w);
+
+  RuleGraph graph(rs);
+  AnalysisSnapshot snap(graph);
+  const std::vector<VertexId> path_a = {
+      graph.vertex_for(u_id), graph.vertex_for(r_id), graph.vertex_for(w_id)};
+  const std::vector<VertexId> path_b = {graph.vertex_for(r_id)};
+  ASSERT_TRUE(graph.is_legal_path(path_a));
+
+  for (const bool b_first : {true, false}) {
+    SCOPED_TRACE(b_first ? "B committed first" : "A committed first");
+    Cover cover;
+    for (const auto* path : {b_first ? &path_b : &path_a,
+                             b_first ? &path_a : &path_b}) {
+      cover.paths.push_back(CoverPath{*path, graph.path_output_space(*path)});
+    }
+    ProbeEngineConfig cfg;
+    cfg.sample_attempts = 0;
+    ProbeEngine engine(snap, cfg);
+    util::Rng rng(1);
+    const std::vector<Probe> probes = engine.make_probes(cover, rng);
+    ASSERT_EQ(probes.size(), 2u);
+    const Probe& a = probes[b_first ? 1 : 0];
+    const Probe& b = probes[b_first ? 0 : 1];
+    EXPECT_NE(a.header.transform(u.set_field).to_string(),
+              b.expected_return.to_string());
+
+    sim::EventLoop loop;
+    dataplane::Network net(rs, loop);
+    controller::Controller ctrl(rs, net);
+    FaultLocalizer loc(snap, ctrl, loop);
+    loc.set_cover_probes(probes);
+    const DetectionReport rep = loc.run();
+    EXPECT_TRUE(rep.flagged_switches.empty());
+    EXPECT_TRUE(rep.evidence.empty());
+    std::size_t lost = 0;
+    for (const RoundRecord& rr : rep.round_log) lost += rr.failures;
+    EXPECT_EQ(lost, 0u);
+    EXPECT_EQ(rep.rounds, 1);
+  }
 }
 
 // One line per entry of a golden fixture under tests/data/.

@@ -38,7 +38,7 @@ struct Net {
   }
 
   //     1
-  //   /   \
+  //   /   \   two disjoint routes from 0 to 3
   // 0       3
   //   \   /
   //     2
