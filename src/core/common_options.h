@@ -19,8 +19,9 @@ struct CommonOptions {
   // Master seed for the component's derived RNG streams. Ignored by
   // components that only consume caller-provided Rng state.
   std::uint64_t seed = 1;
-  // Worker threads (0 = hardware_concurrency, 1 = serial). Every component
-  // guarantees bit-identical output for any value.
+  // Worker threads (0 = hardware_concurrency, 1 = serial) for MLPC's
+  // deterministic restarts, the one parallel stage; output is bit-identical
+  // for any value. ProbeEngine, which is serial, ignores it.
   int threads = 1;
 };
 

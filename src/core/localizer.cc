@@ -73,14 +73,7 @@ FaultLocalizer::FaultLocalizer(const AnalysisSnapshot& snapshot,
       ctrl_(&ctrl),
       loop_(&loop),
       config_(config),
-      pool_(util::ThreadPool::resolve_thread_count(config.common.threads) > 1
-                ? std::make_unique<util::ThreadPool>(
-                      util::ThreadPool::resolve_thread_count(
-                          config.common.threads))
-                : nullptr),
-      engine_(snapshot,
-              ProbeEngineConfig{.common = {.threads = config.common.threads}},
-              pool_.get()),
+      engine_(snapshot),
       rng_(config.common.seed) {}
 
 void FaultLocalizer::charge_wall_time(double seconds) const {
@@ -99,7 +92,7 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
       mc.common.randomized = false;
       mc.common.threads = config_.common.threads;
       mc.search_budget = config_.mlpc_search_budget;
-      const Cover cover = MlpcSolver(mc, pool_.get()).solve(*snapshot_);
+      const Cover cover = MlpcSolver(mc).solve(*snapshot_);
       fixed_probes_ = engine_.make_probes(cover, rng_, nullptr);
       fixed_ready_ = true;
       charge_wall_time(timer.elapsed_seconds());
@@ -123,7 +116,7 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
   mc.common.seed = rng_.next();
   mc.common.threads = config_.common.threads;
   mc.search_budget = config_.mlpc_search_budget;
-  const Cover cover = MlpcSolver(mc, pool_.get()).solve(*snapshot_);
+  const Cover cover = MlpcSolver(mc).solve(*snapshot_);
   engine_.reset_uniqueness();
   if (config_.profile && !config_.profile->empty()) {
     period_profile_ = config_.profile->period_snapshot(rng_);

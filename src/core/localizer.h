@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -34,7 +33,6 @@
 #include "core/rule_graph.h"
 #include "core/traffic_profile.h"
 #include "sim/event_loop.h"
-#include "util/thread_pool.h"
 
 namespace sdnprobe::core {
 
@@ -70,10 +68,9 @@ struct LocalizerConfig {
   int max_rounds = 64;
   // Shared knobs (core/common_options.h): `randomized` selects Randomized
   // SDNProbe (re-draw cover and headers at every full restart), `seed` feeds
-  // the localizer's RNG, `threads` is shared by cover (re)generation and
-  // probe construction (0 = hardware_concurrency, 1 = serial; results are
-  // identical for any value — the localizer owns one pool and reuses it
-  // across rounds).
+  // the localizer's RNG, `threads` goes to MLPC's deterministic restarts
+  // (0 = hardware_concurrency, 1 = serial; results are identical for any
+  // value). Probe construction is serial.
   CommonOptions common;
   // Optional traffic profile for header randomization (used in randomized
   // mode; ignored otherwise to keep deterministic headers stable).
@@ -262,8 +259,6 @@ class FaultLocalizer {
   controller::Controller* ctrl_;
   sim::EventLoop* loop_;
   LocalizerConfig config_;
-  // Declared before engine_: the engine borrows the pool. Null when serial.
-  std::unique_ptr<util::ThreadPool> pool_;
   // Cover/probe generation state is mutable so the const
   // initial_probe_count() can build and cache the first cover.
   mutable ProbeEngine engine_;

@@ -7,6 +7,7 @@
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
+#include "util/thread_pool.h"
 
 namespace sdnprobe::core {
 namespace {
@@ -320,8 +321,6 @@ Cover MlpcSolver::solve(const AnalysisSnapshot& snapshot) const {
       util::ThreadPool::resolve_thread_count(config_.common.threads), restarts);
   if (workers <= 1) {
     for (std::size_t r = 0; r < restarts; ++r) run_restart(r);
-  } else if (pool_ != nullptr) {
-    util::parallel_for(pool_, restarts, run_restart);
   } else {
     util::ThreadPool transient(workers);
     util::parallel_for(&transient, restarts, run_restart);

@@ -32,7 +32,6 @@
 #include "core/common_options.h"
 #include "core/rule_graph.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace sdnprobe::core {
 
@@ -78,11 +77,9 @@ struct MlpcConfig {
 
 class MlpcSolver {
  public:
-  // An externally owned pool lets callers that solve every round (e.g.
-  // FaultLocalizer) reuse workers; with a null pool and threads > 1 the
-  // solver spins up a transient pool per solve() call.
-  explicit MlpcSolver(MlpcConfig config = {}, util::ThreadPool* pool = nullptr)
-      : config_(config), pool_(pool) {}
+  // With threads > 1 each deterministic solve() runs its restarts on a
+  // transient pool; randomized solves have no restarts and run serially.
+  explicit MlpcSolver(MlpcConfig config = {}) : config_(config) {}
 
   // Computes a legal path cover of the snapshot's rule graph with no
   // remaining legal stitch.
@@ -98,7 +95,6 @@ class MlpcSolver {
   Cover solve_once(const AnalysisSnapshot& snapshot, std::uint64_t seed) const;
 
   MlpcConfig config_;
-  util::ThreadPool* pool_;
 };
 
 }  // namespace sdnprobe::core

@@ -11,8 +11,7 @@ namespace {
 
 // Process-wide instruments, resolved once (thread-safe static init). The
 // per-engine ProbeStats stays the determinism-checked source of truth;
-// these aggregate across engines into the run artifact. Counters are
-// incremented from phase-A workers too — atomic adds, observational only.
+// these aggregate across engines into the run artifact. Observational only.
 struct EngineInstruments {
   telemetry::Counter& candidates;
   telemetry::Counter& committed;
@@ -43,15 +42,6 @@ std::optional<Probe> ProbeEngine::try_commit(
   return p;
 }
 
-std::optional<Probe> ProbeEngine::commit_first_admissible(
-    const std::vector<VertexId>& path, const PathCandidates& candidates) {
-  if (candidates.input.is_empty()) return std::nullopt;
-  for (const hsa::TernaryString& h : candidates.samples) {
-    if (auto p = try_commit(path, h)) return p;
-  }
-  return exact_fallback(path, candidates.input);
-}
-
 std::optional<Probe> ProbeEngine::exact_fallback(
     const std::vector<VertexId>& path, hsa::HeaderSpace input) {
   // The paper's MiniSat query (§VI) — a header in the space differing from
@@ -72,26 +62,6 @@ std::optional<Probe> ProbeEngine::exact_fallback(
   ++stats_.sat_failures;
   EngineInstruments::get().sat_failures.add();
   return std::nullopt;
-}
-
-ProbeEngine::PathCandidates ProbeEngine::sample_path_candidates(
-    const AnalysisSnapshot& snap, const std::vector<VertexId>& path,
-    std::uint64_t stream_seed, int attempts, const TrafficProfile* profile) {
-  PathCandidates c;
-  if (path.empty()) return c;
-  c.input = snap.path_input_space(path);
-  if (c.input.is_empty()) return c;
-  util::Rng path_rng(stream_seed);
-  c.samples.reserve(static_cast<std::size_t>(std::max(attempts, 0)));
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::optional<hsa::TernaryString> h = profile
-                                              ? profile->sample(c.input, path_rng)
-                                              : c.input.sample(path_rng);
-    if (!h.has_value()) break;
-    c.samples.push_back(std::move(*h));
-  }
-  EngineInstruments::get().candidates.add(c.samples.size());
-  return c;
 }
 
 Probe ProbeEngine::assemble(const std::vector<VertexId>& path,
@@ -162,7 +132,7 @@ std::optional<Probe> ProbeEngine::make_probe(const std::vector<VertexId>& path,
   if (input.is_empty()) return std::nullopt;
   // Fast path: sample (traffic-biased when a profile is given) and reject on
   // collision. Collisions are rare because header spaces are huge relative
-  // to probe counts.
+  // to probe counts, so the first draw usually commits.
   for (int attempt = 0; attempt < config_.sample_attempts; ++attempt) {
     std::optional<hsa::TernaryString> h =
         profile ? profile->sample(input, rng) : input.sample(rng);
@@ -177,42 +147,17 @@ std::vector<Probe> ProbeEngine::make_probes(const Cover& cover,
                                             util::Rng& rng,
                                             const TrafficProfile* profile) {
   telemetry::TraceSpan span("probe_engine.make_probes");
-  const std::size_t n = cover.paths.size();
-  // One base draw: path i samples from stream derive(base, i), so the
-  // produced headers depend only on (cover, rng state at entry) and the
-  // caller's stream advances by exactly one draw — never on thread count.
+  // One base draw: path i samples from its own stream derive(base, i), so
+  // how many candidates one path draws never shifts another path's draws,
+  // and the caller's stream advances by exactly one draw.
   const std::uint64_t base = rng.next();
-
-  // Phase A (parallel, read-only): per-path input spaces and header
-  // candidates. Each worker touches only its own slot.
-  std::vector<PathCandidates> candidates(n);
-  auto generate = [&](std::size_t i) {
-    candidates[i] = sample_path_candidates(
-        *snapshot_, cover.paths[i].vertices,
-        util::Rng::derive(base, static_cast<std::uint64_t>(i)),
-        config_.sample_attempts, profile);
-  };
-  const std::size_t workers =
-      n == 0 ? 1
-             : std::min(util::ThreadPool::resolve_thread_count(config_.common.threads),
-                        n);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) generate(i);
-  } else if (pool_ != nullptr) {
-    util::parallel_for(pool_, n, generate);
-  } else {
-    util::ThreadPool transient(workers);
-    util::parallel_for(&transient, n, generate);
-  }
-
-  // Phase B (serial, cover order): uniqueness commit against the committed
-  // probes, exact fallback for paths whose every candidate was refused.
   std::vector<Probe> probes;
-  probes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  probes.reserve(cover.paths.size());
+  for (std::size_t i = 0; i < cover.paths.size(); ++i) {
     const auto& path = cover.paths[i].vertices;
     if (path.empty()) continue;
-    if (auto p = commit_first_admissible(path, candidates[i])) {
+    util::Rng path_rng(util::Rng::derive(base, static_cast<std::uint64_t>(i)));
+    if (auto p = make_probe(path, path_rng, profile)) {
       probes.push_back(std::move(*p));
     } else {
       LOG_WARN << "probe synthesis failed for a cover path of length "

@@ -16,12 +16,11 @@
 // Equal expected returns at the terminal itself are harmless: both probes
 // are punted where they should be.
 //
-// make_probes runs in two phases. Phase A — per-path input-space computation
-// and header-candidate sampling — is read-only over the snapshot and fans
-// out across worker threads, with path i sampling from its own derived RNG
-// stream. Phase B — the uniqueness commit against the committed probes (and
-// the rare exact fallback) — is serialized in cover order. Output is
-// therefore bit-identical for any thread count, including 1.
+// make_probes is one serial loop in cover order: path i draws candidates
+// lazily from its own derived RNG stream, commits the first that passes both
+// checks, and falls back to the exact query only when every draw collides —
+// usually the first draw commits. Probe construction is serial by design;
+// per-path streams keep each path's draws independent of the others'.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +34,6 @@
 #include "core/rule_graph.h"
 #include "core/traffic_profile.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace sdnprobe::core {
 
@@ -65,11 +63,10 @@ struct ProbeStats {
 };
 
 struct ProbeEngineConfig {
-  // Shared knobs (core/common_options.h). The engine uses `threads` for
-  // make_probes' candidate-generation phase (0 = hardware_concurrency,
-  // 1 = serial; headers and stats identical for any value, see the file
-  // comment). `seed` / `randomized` are unused here — the engine draws all
-  // randomness from the caller-provided Rng.
+  // Shared knobs (core/common_options.h). The engine reads none of them:
+  // probe construction is serial, and all randomness comes from the
+  // caller-provided Rng. Kept so pipeline code can configure every
+  // component with the same vocabulary.
   CommonOptions common;
   // Header candidates sampled per path before the exact fallback.
   int sample_attempts = 16;
@@ -78,19 +75,20 @@ struct ProbeEngineConfig {
 class ProbeEngine {
  public:
   explicit ProbeEngine(const AnalysisSnapshot& snapshot,
-                       ProbeEngineConfig config = {},
-                       util::ThreadPool* pool = nullptr)
-      : snapshot_(&snapshot), config_(config), pool_(pool) {}
+                       ProbeEngineConfig config = {})
+      : snapshot_(&snapshot), config_(config) {}
 
   // Builds probes for every path of `cover`. Paths whose header synthesis
   // fails (exhausted header space) are skipped; see stats().sat_failures.
-  // Consumes exactly one draw from `rng` (the per-path stream base), so the
-  // caller's stream advances identically for any thread count.
+  // Consumes exactly one draw from `rng`: path i samples from
+  // util::Rng(Rng::derive(draw, i)).
   std::vector<Probe> make_probes(const Cover& cover, util::Rng& rng,
                                  const TrafficProfile* profile = nullptr);
 
-  // Builds a probe for one legal path (used by Algorithm 2's path slicing).
-  // Returns nullopt if the path is illegal or no unique header exists.
+  // Builds a probe for one legal path, drawing up to sample_attempts
+  // candidates from `rng` (make_probes runs it per cover path; Algorithm 2's
+  // path slicing calls it directly). Returns nullopt if the path is illegal
+  // or no unique header exists.
   std::optional<Probe> make_probe(const std::vector<VertexId>& path,
                                   util::Rng& rng,
                                   const TrafficProfile* profile = nullptr);
@@ -110,13 +108,6 @@ class ProbeEngine {
   const ProbeStats& stats() const { return stats_; }
 
  private:
-  // Phase-A output for one path: its input space plus the header candidates
-  // drawn from the path's derived RNG stream.
-  struct PathCandidates {
-    hsa::HeaderSpace input;
-    std::vector<hsa::TernaryString> samples;
-  };
-
   // (switch, concrete header) pairs a switch's test table can see, each
   // flagged as a committed probe's test entry and/or an arrival at one of
   // its non-terminal hops. Open addressing with generation stamps: clear()
@@ -161,18 +152,6 @@ class ProbeEngine {
     std::size_t size_ = 0;
   };
 
-  // Phase-A unit: the input space of `path` and up to `attempts` candidates
-  // drawn from util::Rng(stream_seed). Pure function of its arguments; safe
-  // to call concurrently from worker threads.
-  static PathCandidates sample_path_candidates(
-      const AnalysisSnapshot& snap, const std::vector<VertexId>& path,
-      std::uint64_t stream_seed, int attempts, const TrafficProfile* profile);
-
-  // Phase-B unit: the probe for the first admissible candidate, else the
-  // exact fallback's. Serial only.
-  std::optional<Probe> commit_first_admissible(
-      const std::vector<VertexId>& path, const PathCandidates& candidates);
-
   // The probe `header` makes of `path`, committed, when it passes both
   // uniqueness checks; nullopt otherwise.
   std::optional<Probe> try_commit(const std::vector<VertexId>& path,
@@ -199,7 +178,6 @@ class ProbeEngine {
 
   const AnalysisSnapshot* snapshot_;
   ProbeEngineConfig config_;
-  util::ThreadPool* pool_;
   std::uint64_t next_probe_id_ = 1;
   // Injected headers of committed probes.
   std::unordered_set<hsa::TernaryString, hsa::TernaryStringHash> used_;

@@ -71,11 +71,6 @@ Monitor::Monitor(flow::RuleSet& rules, controller::Controller& ctrl,
       loop_(&loop),
       config_(config),
       graph_(rules),
-      pool_(util::ThreadPool::resolve_thread_count(config.common.threads) > 1
-                ? std::make_unique<util::ThreadPool>(
-                      util::ThreadPool::resolve_thread_count(
-                          config.common.threads))
-                : nullptr),
       tm_(std::make_unique<Instruments>()) {
   // Incremental repair maintains one fixed cover across epochs; the
   // randomized variant re-draws covers per restart and is incompatible.
@@ -201,10 +196,8 @@ void Monitor::regenerate_probes() {
   core::MlpcConfig mc;
   mc.common = config_.common;
   mc.search_budget = config_.mlpc_search_budget;
-  const core::Cover cover = core::MlpcSolver(mc, pool_.get()).solve(snap);
-  core::ProbeEngineConfig ec;
-  ec.common.threads = config_.common.threads;
-  core::ProbeEngine engine(snap, ec, pool_.get());
+  const core::Cover cover = core::MlpcSolver(mc).solve(snap);
+  core::ProbeEngine engine(snap);
   util::Rng rng(util::Rng::derive(config_.common.seed, cover_stream(epoch_)));
   probes_ = engine.make_probes(cover, rng);
   for (core::Probe& p : probes_) p.probe_id = next_probe_id_++;
@@ -243,9 +236,7 @@ void Monitor::repair_probes(const std::vector<core::VertexId>& touched) {
   // Cover the remainder with fresh paths and headers. Serial and
   // index-ordered: the affected region is small by construction, and a
   // fixed order keeps the repaired set a pure function of the churn.
-  core::ProbeEngineConfig ec;
-  ec.common.threads = 1;
-  core::ProbeEngine engine(snap, ec, nullptr);
+  core::ProbeEngine engine(snap);
   for (const core::Probe& p : probes_) engine.note_used(p);
   util::Rng rng(util::Rng::derive(config_.common.seed, repair_stream(epoch_)));
   std::uint64_t built = 0;

@@ -58,7 +58,6 @@
 #include "core/rule_graph.h"
 #include "flow/ruleset.h"
 #include "sim/event_loop.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace sdnprobe::monitor {
@@ -324,7 +323,6 @@ class Monitor {
   sim::EventLoop* loop_;
   MonitorConfig config_;
   core::RuleGraph graph_;  // the one mutable graph; mutated between rounds
-  std::unique_ptr<util::ThreadPool> pool_;  // null when serial
 
   mutable std::mutex snapshot_mu_;  // guards snapshot_ pointer swaps only
   std::shared_ptr<const core::AnalysisSnapshot> snapshot_;

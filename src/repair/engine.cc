@@ -195,9 +195,7 @@ std::vector<core::Probe> RepairEngine::confirm_probes(
   std::sort(seeds.begin(), seeds.end());
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
 
-  core::ProbeEngineConfig ec;
-  ec.common.threads = 1;
-  core::ProbeEngine engine(snap, ec, nullptr);
+  core::ProbeEngine engine(snap);
   util::Rng rng(util::Rng::derive(config_.common.seed, seed_stream));
   std::vector<core::Probe> probes;
   std::set<std::pair<flow::EntryId, flow::EntryId>> spans;

@@ -1,7 +1,7 @@
 // Tests for probe synthesis: header legality and uniqueness, expected
 // return headers under set-field rewrites, probes kept clear of each other's
-// test entries, the traffic-profile sampler, and the exact unique-header
-// fallback against recorded golden answers.
+// test entries, the traffic-profile sampler, and sampled and exact-fallback
+// headers against recorded golden answers.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -16,6 +16,7 @@
 #include "core/mlpc.h"
 #include "core/probe_engine.h"
 #include "core/rule_graph.h"
+#include "core/scenario.h"
 #include "core/traffic_profile.h"
 #include "dataplane/network.h"
 #include "flow/campus.h"
@@ -252,9 +253,20 @@ TEST(ExactFallback, CampusExclusionStreamMatchesGolden) {
   EXPECT_EQ(stream, read_golden("campus_exclusion_stream.golden"));
 }
 
-TEST(ExactFallback, CampusProbesMatchGoldenAtAnyThreadCount) {
+// One `header|expected_return` line per probe, the goldens' format.
+std::vector<std::string> render(const std::vector<Probe>& probes) {
+  std::vector<std::string> rendered;
+  rendered.reserve(probes.size());
+  for (const Probe& p : probes) {
+    rendered.push_back(p.header.to_string() + "|" +
+                       p.expected_return.to_string());
+  }
+  return rendered;
+}
+
+TEST(ExactFallback, CampusProbesMatchGolden) {
   // sample_attempts = 0 forces every probe header through the exact
-  // fallback; the probe set must equal the golden at 1, 2 and 8 threads.
+  // fallback.
   const flow::RuleSet rs = flow::make_campus_ruleset(flow::CampusConfig{});
   const RuleGraph graph(rs);
   const AnalysisSnapshot snap(graph);
@@ -262,22 +274,47 @@ TEST(ExactFallback, CampusProbesMatchGoldenAtAnyThreadCount) {
   const std::vector<std::string> golden =
       read_golden("campus_fallback_probes.golden");
   ASSERT_FALSE(golden.empty());
-  for (const int threads : {1, 2, 8}) {
-    ProbeEngineConfig cfg;
-    cfg.common.threads = threads;
-    cfg.sample_attempts = 0;
-    ProbeEngine engine(snap, cfg);
+  ProbeEngineConfig cfg;
+  cfg.sample_attempts = 0;
+  ProbeEngine engine(snap, cfg);
+  util::Rng rng(11);
+  const auto probes = engine.make_probes(cover, rng);
+  EXPECT_EQ(engine.stats().headers_by_sampling, 0u);
+  EXPECT_EQ(engine.stats().headers_by_sat, probes.size());
+  EXPECT_EQ(render(probes), golden);
+}
+
+// The campus cover with default sampling, with and without a traffic
+// profile. The goldens were recorded from the engine that drew all
+// sample_attempts candidates of every path up front; drawing lazily from
+// the same per-path streams must reproduce them byte for byte.
+TEST(SampledHeaders, CampusProbesMatchGolden) {
+  const flow::RuleSet rs = flow::make_campus_ruleset(flow::CampusConfig{});
+  const RuleGraph graph(rs);
+  const AnalysisSnapshot snap(graph);
+  const Cover cover = MlpcSolver().solve(snap);
+  util::Rng traffic_rng(7);
+  const TrafficModel traffic = make_traffic_model(graph, 6, traffic_rng);
+  for (const bool with_profile : {false, true}) {
+    SCOPED_TRACE(with_profile ? "traffic profile" : "uniform");
+    ProbeEngine engine(snap);
     util::Rng rng(11);
-    const auto probes = engine.make_probes(cover, rng);
-    EXPECT_EQ(engine.stats().headers_by_sampling, 0u);
-    EXPECT_EQ(engine.stats().headers_by_sat, probes.size());
-    std::vector<std::string> rendered;
-    rendered.reserve(probes.size());
-    for (const Probe& p : probes) {
-      rendered.push_back(p.header.to_string() + "|" +
-                         p.expected_return.to_string());
-    }
-    EXPECT_EQ(rendered, golden) << "at " << threads << " threads";
+    const auto probes = engine.make_probes(
+        cover, rng, with_profile ? &traffic.profile : nullptr);
+    const std::vector<std::string> golden =
+        read_golden(with_profile ? "campus_profile_probes.golden"
+                                 : "campus_sampled_probes.golden");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(render(probes), golden);
+    // Recorded with the goldens: every header sampled, none from the
+    // fallback.
+    ProbeStats expected;
+    expected.headers_by_sampling = 579;
+    EXPECT_TRUE(engine.stats() == expected);
+    // make_probes consumes exactly one caller draw.
+    util::Rng once(11);
+    once.next();
+    EXPECT_EQ(rng.next(), once.next());
   }
 }
 
