@@ -4,7 +4,8 @@
 //   (a) Legality during cover construction: plain Minimum Path Cover on the
 //       step-1 rule graph (the paper's Fig. 3 strawman) produces paths no
 //       packet can traverse; we count how many MPC paths are illegal.
-//   (b) Augmentation + best-of restarts vs pure greedy stitching.
+//   (b) The deterministic pass (DFS stitching + augmentation) vs pure
+//       direct-successor greedy stitching.
 //   (c) Randomized acceptance probability vs probe count (the cost knob of
 //       Randomized SDNProbe's path diversity).
 #include <cstdio>
@@ -92,30 +93,20 @@ int main(int argc, char** argv) {
     report.set_summary("plain_mpc_illegal_paths", std::uint64_t{illegal});
   }
 
-  // (b) Greedy-only vs augmented vs augmented+restarts.
+  // (b) Greedy-only vs the full deterministic pass.
   {
     core::MlpcConfig greedy_only;
-    greedy_only.deterministic_restarts = 1;
     greedy_only.search_budget = 1;  // cripples the DFS: near-pure greedy
     const auto crippled = core::MlpcSolver(greedy_only).solve(snap);
+    const auto one_pass = core::MlpcSolver().solve(snap);
 
-    core::MlpcConfig single;
-    single.deterministic_restarts = 1;
-    const auto one_pass = core::MlpcSolver(single).solve(snap);
-
-    core::MlpcConfig full_cfg;  // defaults: augmentation + 4 restarts
-    const auto best = core::MlpcSolver(full_cfg).solve(snap);
-
-    std::printf("(b) probes: direct-successor greedy %zu; +DFS+augment %zu; "
-                "+best-of-%d restarts %zu\n",
-                crippled.path_count(), one_pass.path_count(),
-                full_cfg.deterministic_restarts, best.path_count());
+    std::printf("(b) probes: direct-successor greedy %zu; +DFS+augment "
+                "(one reverse-topological pass) %zu\n",
+                crippled.path_count(), one_pass.path_count());
     report.set_summary("greedy_only_probes",
                        std::uint64_t{crippled.path_count()});
     report.set_summary("augmented_probes",
                        std::uint64_t{one_pass.path_count()});
-    report.set_summary("best_of_restarts_probes",
-                       std::uint64_t{best.path_count()});
   }
 
   // (c) Randomized acceptance probability: probe count & terminal spread.

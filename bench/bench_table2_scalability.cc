@@ -16,7 +16,6 @@
 // greatly exceeding the rule count, TPC a small fraction of the rule count,
 // and PCT growing superlinearly with rules.
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -64,9 +63,7 @@ int main(int argc, char** argv) {
     util::WallTimer pct;
     core::RuleGraph graph(rs);
     core::AnalysisSnapshot snap(graph);
-    core::MlpcConfig mc;
-    mc.deterministic_restarts = 2;  // keep the big presets tractable
-    const core::Cover cover = core::MlpcSolver(mc).solve(snap);
+    const core::Cover cover = core::MlpcSolver().solve(snap);
     const double pct_s = pct.elapsed_seconds();
 
     const auto stats =
@@ -86,48 +83,6 @@ int main(int argc, char** argv) {
     row["nlps_truncated"] = stats.truncated;
     row["tpc"] = std::uint64_t{cover.path_count()};
     row["pct_s"] = pct_s;
-
-    if (i + 1 == count) {
-      // Thread-scaling sweep on the largest topology run: the parallel
-      // deterministic restarts must return the *same* cover at every thread
-      // count while the wall clock drops.
-      std::printf("\nMLPC thread scaling on topo %s "
-                  "(8 deterministic restarts, %u hardware threads):\n",
-                  p.name, std::thread::hardware_concurrency());
-      core::MlpcConfig sweep;
-      sweep.deterministic_restarts = 8;
-      auto fingerprint = [](const core::Cover& c) {
-        std::size_t h = c.path_count();
-        for (const auto& path : c.paths) {
-          for (const core::VertexId v : path.vertices) {
-            h = h * 1000003u + static_cast<std::size_t>(v);
-          }
-        }
-        return h;
-      };
-      double t1 = 0.0;
-      std::size_t ref = 0;
-      for (const int threads : {1, 2, 4}) {
-        sweep.common.threads = threads;
-        util::WallTimer timer;
-        const core::Cover c = core::MlpcSolver(sweep).solve(snap);
-        const double s = timer.elapsed_seconds();
-        if (threads == 1) {
-          t1 = s;
-          ref = fingerprint(c);
-        }
-        std::printf("  threads=%d: %8.2f s  speedup %.2fx  cover %zu%s\n",
-                    threads, s, s > 0.0 ? t1 / s : 0.0, c.path_count(),
-                    fingerprint(c) == ref ? "" : "  COVER MISMATCH");
-        auto& row = report.add_row();
-        row["sweep"] = "mlpc_thread_scaling";
-        row["threads"] = threads;
-        row["seconds"] = s;
-        row["speedup"] = s > 0.0 ? t1 / s : 0.0;
-        row["cover"] = std::uint64_t{c.path_count()};
-        row["cover_matches_single_thread"] = fingerprint(c) == ref;
-      }
-    }
   }
   if (!full) {
     std::printf("\n(presets 4-5 at 205k/358k rules run with --full; they "

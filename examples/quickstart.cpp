@@ -10,7 +10,7 @@
 //
 // With SDNPROBE_METRICS=out.json in the environment, the run additionally
 // writes a telemetry export (per-round localizer spans with wall + simulated
-// time, probe/failure counters, MLPC restart stats) to out.json at exit.
+// time, probe/failure counters, MLPC search stats) to out.json at exit.
 // Output is byte-identical with the variable unset.
 #include <cstdio>
 #include <cstdlib>

@@ -7,8 +7,8 @@
 // successor cache for the MLPC stitch search, and a per-switch ingress
 // index. It is built once per detection round and then only read: every
 // accessor is const and returns references to data frozen at build time, so
-// a snapshot may be shared by any number of worker threads (MLPC's
-// deterministic restarts, see util::ThreadPool) without synchronization.
+// a snapshot may be shared by any number of threads without
+// synchronization.
 // Thread-safety is a type-level property here — code that holds a
 // `const AnalysisSnapshot&` cannot mutate the model — rather than a
 // convention about who calls what when.
@@ -110,7 +110,7 @@ class AnalysisSnapshot {
   // Successors of v stable-sorted by predecessor count, ascending. This is
   // the MLPC stitch-search visit order (a successor only we can reach must
   // be claimed by us or it stays a singleton); precomputing it turns a
-  // per-DFS-step stable_sort into a lookup shared by all restarts/workers.
+  // per-DFS-step stable_sort into a lookup shared by every search.
   const std::vector<VertexId>& successors_by_fanin(VertexId v) const {
     SDNPROBE_DCHECK_LT(static_cast<std::size_t>(v), succ_by_fanin_.size());
     return succ_by_fanin_[static_cast<std::size_t>(v)];

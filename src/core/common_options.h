@@ -1,4 +1,4 @@
-// Knobs shared by every randomized / parallelizable core component.
+// Knobs shared by every randomized core component.
 //
 // LocalizerConfig, MlpcConfig, and ProbeEngineConfig each used to carry
 // their own `seed` / `threads` / `randomized` fields with identical
@@ -17,11 +17,11 @@ struct CommonOptions {
   // from the caller's Rng) ignore this knob.
   bool randomized = false;
   // Master seed for the component's derived RNG streams. Ignored by
-  // components that only consume caller-provided Rng state.
+  // components that only consume caller-provided Rng state, and by the
+  // deterministic MLPC pass, whose cover depends on the snapshot alone.
   std::uint64_t seed = 1;
-  // Worker threads (0 = hardware_concurrency, 1 = serial) for MLPC's
-  // deterministic restarts, the one parallel stage; output is bit-identical
-  // for any value. ProbeEngine, which is serial, ignores it.
+  // Unread: the library is serial and starts no threads. Kept so existing
+  // callers that set it still compile.
   int threads = 1;
 };
 

@@ -90,7 +90,6 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
     if (!fixed_ready_) {
       MlpcConfig mc;
       mc.common.randomized = false;
-      mc.common.threads = config_.common.threads;
       mc.search_budget = config_.mlpc_search_budget;
       const Cover cover = MlpcSolver(mc).solve(*snapshot_);
       fixed_probes_ = engine_.make_probes(cover, rng_, nullptr);
@@ -114,7 +113,6 @@ std::vector<Probe> FaultLocalizer::generate_full_cover() const {
   MlpcConfig mc;
   mc.common.randomized = true;
   mc.common.seed = rng_.next();
-  mc.common.threads = config_.common.threads;
   mc.search_budget = config_.mlpc_search_budget;
   const Cover cover = MlpcSolver(mc).solve(*snapshot_);
   engine_.reset_uniqueness();

@@ -68,9 +68,7 @@ struct LocalizerConfig {
   int max_rounds = 64;
   // Shared knobs (core/common_options.h): `randomized` selects Randomized
   // SDNProbe (re-draw cover and headers at every full restart), `seed` feeds
-  // the localizer's RNG, `threads` goes to MLPC's deterministic restarts
-  // (0 = hardware_concurrency, 1 = serial; results are identical for any
-  // value). Probe construction is serial.
+  // the localizer's RNG. `threads` is unread.
   CommonOptions common;
   // Optional traffic profile for header randomization (used in randomized
   // mode; ignored otherwise to keep deterministic headers stable).

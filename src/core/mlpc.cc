@@ -4,32 +4,93 @@
 #include <cassert>
 #include <deque>
 #include <functional>
+#include <numeric>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
-#include "util/thread_pool.h"
 
 namespace sdnprobe::core {
 namespace {
 
 // Cross-solver aggregates; the returned Cover stays the algorithmic output
-// and telemetry never feeds back into search decisions. The budget counter
-// is bumped from restart workers, so it must be (and is) atomic.
+// and telemetry never feeds back into search decisions.
 struct MlpcInstruments {
   telemetry::Counter& solves;
-  telemetry::Counter& restarts;
   telemetry::Counter& budget_consumed;
 
   static MlpcInstruments& get() {
     static auto& reg = telemetry::MetricsRegistry::global();
     static MlpcInstruments i{
         reg.counter("mlpc.solves"),
-        reg.counter("mlpc.restarts"),
         reg.counter("mlpc.search_budget_consumed"),
     };
     return i;
   }
 };
+
+// Epoch-stamped visited set over rule-graph vertices. It lives for a whole
+// solve and is emptied in O(1) per search by bumping the epoch, instead of
+// zeroing (or allocating) a V-sized array for each of the O(V) searches.
+class VisitedSet {
+ public:
+  explicit VisitedSet(int vertex_count)
+      : stamp_(static_cast<std::size_t>(vertex_count), 0) {}
+
+  void clear() {
+    if (++epoch_ == 0) {  // wrapped: stale stamps could alias the new epoch
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+  // Marks v; false when v was already marked since the last clear().
+  bool insert(VertexId v) {
+    std::uint32_t& s = stamp_[static_cast<std::size_t>(v)];
+    if (s == epoch_) return false;
+    s = epoch_;
+    return true;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+};
+
+// Deterministic merge order: active vertices in reverse topological order
+// of the step-1 rule graph (Kahn's algorithm with a FIFO queue seeded by
+// the in-degree-0 vertices in ascending id, successors in stored order).
+// Tails are thus extended sinks-first: when a tail is processed, the paths
+// it can stitch onto have already been extended downstream. On every world
+// measured this single pass needs fewer paths than the best of several
+// shuffled orders. Vertices a cycle leaves unordered follow in index order:
+// cyclic rule graphs are linter errors, but must still get a cover.
+std::vector<VertexId> reverse_topological_order(const AnalysisSnapshot& g) {
+  const int V = g.vertex_count();
+  std::vector<int> indegree(static_cast<std::size_t>(V), 0);
+  for (VertexId v = 0; v < V; ++v) {
+    for (const VertexId w : g.successors(v)) {
+      ++indegree[static_cast<std::size_t>(w)];
+    }
+  }
+  std::vector<VertexId> order;  // doubles as the FIFO queue
+  order.reserve(static_cast<std::size_t>(V));
+  for (VertexId v = 0; v < V; ++v) {
+    if (g.is_active(v) && indegree[static_cast<std::size_t>(v)] == 0) {
+      order.push_back(v);
+    }
+  }
+  for (std::size_t next = 0; next < order.size(); ++next) {
+    for (const VertexId w : g.successors(order[next])) {
+      if (--indegree[static_cast<std::size_t>(w)] == 0) order.push_back(w);
+    }
+  }
+  std::reverse(order.begin(), order.end());
+  for (VertexId v = 0; v < V; ++v) {
+    if (g.is_active(v) && indegree[static_cast<std::size_t>(v)] > 0) {
+      order.push_back(v);
+    }
+  }
+  return order;
+}
 
 // Mutable cover under construction.
 struct WorkPath {
@@ -49,12 +110,15 @@ struct StitchResult {
 // Already-covered vertices may be traversed (lazy transitive closure).
 class StitchSearch {
  public:
+  // `visited` is scratch owned by the caller; find() clears it.
   StitchSearch(const AnalysisSnapshot& g, const std::vector<WorkPath>& paths,
-               const std::vector<int>& head_path_of, std::size_t budget,
-               util::Rng* rng, double accept_probability = 1.0)
+               const std::vector<int>& head_path_of, VisitedSet& visited,
+               std::size_t budget, util::Rng* rng,
+               double accept_probability = 1.0)
       : g_(g),
         paths_(paths),
         head_path_of_(head_path_of),
+        visited_(visited),
         budget_(budget),
         rng_(rng),
         accept_probability_(accept_probability) {}
@@ -64,7 +128,7 @@ class StitchSearch {
   std::size_t budget_remaining() const { return budget_; }
 
   std::optional<StitchResult> find(int from_path) {
-    visited_.assign(static_cast<std::size_t>(g_.vertex_count()), 0);
+    visited_.clear();
     route_.clear();
     from_path_ = from_path;
     const WorkPath& p = paths_[static_cast<std::size_t>(from_path)];
@@ -90,9 +154,8 @@ class StitchSearch {
       VertexId advance_to = -1;
       hsa::HeaderSpace advance_space;
       for (const VertexId w : succ) {
-        if (visited_[static_cast<std::size_t>(w)]) continue;
+        if (!visited_.insert(w)) continue;
         --budget_;
-        visited_[static_cast<std::size_t>(w)] = 1;
         const int q = head_path_of_[static_cast<std::size_t>(w)];
         if (q >= 0 && q != from_path_ &&
             paths_[static_cast<std::size_t>(q)].alive) {
@@ -126,12 +189,11 @@ class StitchSearch {
     // be claimed by us or it stays a singleton; heads with many predecessors
     // can still be stitched by someone else. This ordering recovers most of
     // what full Hopcroft–Karp augmentation would, at a fraction of the cost.
-    // The snapshot precomputes the ordering once for all restarts/workers.
+    // The snapshot precomputes the ordering once per rule graph.
     for (const VertexId w : g_.successors_by_fanin(at)) {
-      if (visited_[static_cast<std::size_t>(w)]) continue;
+      if (!visited_.insert(w)) continue;
       if (budget_ == 0) return std::nullopt;
       --budget_;
-      visited_[static_cast<std::size_t>(w)] = 1;
       // Candidate: w heads another alive path — try the full merge.
       const int q = head_path_of_[static_cast<std::size_t>(w)];
       if (q >= 0 && q != from_path_ &&
@@ -159,11 +221,11 @@ class StitchSearch {
   const AnalysisSnapshot& g_;
   const std::vector<WorkPath>& paths_;
   const std::vector<int>& head_path_of_;
+  VisitedSet& visited_;
   std::size_t budget_;
   util::Rng* rng_;
   double accept_probability_ = 1.0;
   int from_path_ = -1;
-  std::vector<std::uint8_t> visited_;
   std::vector<VertexId> route_;
 };
 
@@ -207,13 +269,15 @@ std::vector<Loc> build_locations(int vertex_count,
 // One alternation of a legal augmenting path (Definition 3): the stranded
 // tail of `pi` either finds a free head outright, or captures the suffix of
 // a donor path whose freshly exposed tail can merge onto a free head.
-// Returns true when the total path count decreased by one.
+// Returns true when the total path count decreased by one. The donor's
+// secondary search gets its own visited set so it cannot erase the marks
+// of the search that found the donor.
 bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
              std::vector<int>& head_path_of, const std::vector<Loc>& loc,
-             int pi, std::size_t budget) {
+             int pi, std::size_t budget, VisitedSet& visited,
+             VisitedSet& secondary_visited) {
   WorkPath& p = paths[static_cast<std::size_t>(pi)];
-  std::vector<std::uint8_t> visited(
-      static_cast<std::size_t>(g.vertex_count()), 0);
+  visited.clear();
   std::vector<VertexId> route;
 
   auto propagate_along = [&g](hsa::HeaderSpace hs, const auto begin,
@@ -227,9 +291,8 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
   std::function<bool(VertexId, const hsa::HeaderSpace&)> dfs =
       [&](VertexId at, const hsa::HeaderSpace& space) -> bool {
     for (const VertexId w : g.successors(at)) {
-      if (visited[static_cast<std::size_t>(w)] || budget == 0) continue;
+      if (budget == 0 || !visited.insert(w)) continue;
       --budget;
-      visited[static_cast<std::size_t>(w)] = 1;
 
       const int q = head_path_of[static_cast<std::size_t>(w)];
       if (q >= 0 && q != pi && paths[static_cast<std::size_t>(q)].alive) {
@@ -264,7 +327,8 @@ bool augment(const AnalysisSnapshot& g, std::vector<WorkPath>& paths,
                 g.full_space(), r.vertices.begin(), r.vertices.end());
             // The donor's new tail must land on a free head for the
             // rearrangement to pay off.
-            StitchSearch secondary(g, paths, head_path_of, budget, nullptr);
+            StitchSearch secondary(g, paths, head_path_of, secondary_visited,
+                                   budget, nullptr);
             if (auto res = secondary.find(l.path)) {
               commit_merge(paths, head_path_of, l.path, std::move(*res));
               return true;
@@ -298,51 +362,15 @@ std::size_t Cover::total_vertices() const {
 Cover MlpcSolver::solve(const AnalysisSnapshot& snapshot) const {
   telemetry::TraceSpan span("mlpc.solve");
   MlpcInstruments::get().solves.add();
-  if (config_.common.randomized) {
-    Cover cover = solve_once(snapshot, config_.common.seed);
-    span.annotate("cover_size", static_cast<double>(cover.path_count()));
-    telemetry::MetricsRegistry::global()
-        .histogram("mlpc.cover_size")
-        .record(static_cast<double>(cover.path_count()));
-    return cover;
-  }
-  // Deterministic restarts: each restart r draws its own derived stream, so
-  // the set of candidate covers is a pure function of (snapshot, seed) no
-  // matter how the restarts are scheduled. Restarts are independent reads of
-  // the immutable snapshot; each writes only its own result slot.
-  const std::size_t restarts =
-      static_cast<std::size_t>(std::max(1, config_.deterministic_restarts));
-  std::vector<Cover> results(restarts);
-  auto run_restart = [&](std::size_t r) {
-    results[r] = solve_once(
-        snapshot, util::Rng::derive(config_.common.seed, static_cast<std::uint64_t>(r)));
-  };
-  const std::size_t workers = std::min(
-      util::ThreadPool::resolve_thread_count(config_.common.threads), restarts);
-  if (workers <= 1) {
-    for (std::size_t r = 0; r < restarts; ++r) run_restart(r);
-  } else {
-    util::ThreadPool transient(workers);
-    util::parallel_for(&transient, restarts, run_restart);
-  }
-  // Stable best-cover selection: smallest cover wins, restart index breaks
-  // ties — an index-order scan with strict `<`, independent of thread count.
-  std::size_t best = 0;
-  for (std::size_t r = 1; r < restarts; ++r) {
-    if (results[r].path_count() < results[best].path_count()) best = r;
-  }
-  MlpcInstruments::get().restarts.add(restarts);
-  span.annotate("restarts", static_cast<double>(restarts));
-  span.annotate("cover_size",
-                static_cast<double>(results[best].path_count()));
+  Cover cover = solve_once(snapshot);
+  span.annotate("cover_size", static_cast<double>(cover.path_count()));
   telemetry::MetricsRegistry::global()
       .histogram("mlpc.cover_size")
-      .record(static_cast<double>(results[best].path_count()));
-  return std::move(results[best]);
+      .record(static_cast<double>(cover.path_count()));
+  return cover;
 }
 
-Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
-                             std::uint64_t seed) const {
+Cover MlpcSolver::solve_once(const AnalysisSnapshot& g) const {
   const int V = g.vertex_count();
   std::vector<WorkPath> paths;
   paths.reserve(static_cast<std::size_t>(V));
@@ -357,28 +385,32 @@ Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
     paths.push_back(std::move(p));
   }
 
-  util::Rng rng(seed);
+  util::Rng rng(config_.common.seed);
   util::Rng* rng_ptr = config_.common.randomized ? &rng : nullptr;
 
   std::deque<int> worklist;
-  {
+  if (rng_ptr) {
+    // Randomized mode permutes the merge order for per-round path diversity.
     std::vector<int> order(paths.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<int>(i);
-    }
-    // Merge order is permuted in both modes: randomized mode for per-round
-    // path diversity, deterministic mode across best-of restarts.
+    std::iota(order.begin(), order.end(), 0);
     rng.shuffle(order);
     worklist.assign(order.begin(), order.end());
+  } else {
+    for (const VertexId v : reverse_topological_order(g)) {
+      worklist.push_back(head_path_of[static_cast<std::size_t>(v)]);
+    }
   }
+
+  VisitedSet visited(V);
 
   while (!worklist.empty()) {
     const int pi = worklist.front();
     worklist.pop_front();
     WorkPath& p = paths[static_cast<std::size_t>(pi)];
     if (!p.alive) continue;
-    StitchSearch search(g, paths, head_path_of, config_.search_budget,
-                        rng_ptr, config_.stitch_accept_probability);
+    StitchSearch search(g, paths, head_path_of, visited,
+                        config_.search_budget, rng_ptr,
+                        config_.stitch_accept_probability);
     const auto result = search.find(pi);
     MlpcInstruments::get().budget_consumed.add(
         config_.search_budget - search.budget_remaining());
@@ -402,20 +434,22 @@ Cover MlpcSolver::solve_once(const AnalysisSnapshot& g,
   // (Definition 3); we realize the same rearrangement as a split-and-merge:
   // a stranded tail may capture the *suffix* of another cover path when the
   // donor's freshly exposed tail can itself merge onto a free head — one
-  // alternation of the augmenting path, applied until a fixed point.
+  // alternation of the augmenting path. Sweeps repeat until one makes no
+  // progress; each success removes a path, so that fixed point is reached.
   if (!config_.common.randomized) {
-    for (int sweep = 0; sweep < 4; ++sweep) {
-      bool progress = false;
+    VisitedSet secondary_visited(V);
+    bool progress = true;
+    while (progress) {
+      progress = false;
       std::vector<Loc> loc = build_locations(V, paths);
       for (std::size_t pi = 0; pi < paths.size(); ++pi) {
         if (!paths[pi].alive) continue;
         if (augment(g, paths, head_path_of, loc, static_cast<int>(pi),
-                    config_.search_budget)) {
+                    config_.search_budget, visited, secondary_visited)) {
           progress = true;
           loc = build_locations(V, paths);
         }
       }
-      if (!progress) break;
     }
   }
 
@@ -442,9 +476,10 @@ bool MlpcSolver::is_stitch_free(const AnalysisSnapshot& g,
         static_cast<int>(paths.size());
     paths.push_back(std::move(p));
   }
+  VisitedSet visited(g.vertex_count());
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    StitchSearch search(g, paths, head_path_of, config_.search_budget,
-                        nullptr);
+    StitchSearch search(g, paths, head_path_of, visited,
+                        config_.search_budget, nullptr);
     if (search.find(static_cast<int>(i)).has_value()) return false;
   }
   return true;

@@ -18,14 +18,15 @@
 //    through already-covered vertices found by DFS, which is exactly what a
 //    materialized closure edge would permit, without the O(V^2) memory.
 //
-// Deterministic mode visits tails and successors in index order, yielding a
-// stable minimum cover. Randomized mode (Randomized SDNProbe) shuffles the
-// tail worklist and DFS branch order per seed — the Dyer–Frieze random
-// greedy matching [16] analogue — so every detection round draws different
-// tested paths and different terminal switches.
+// Deterministic mode is one pass: tails are extended in reverse topological
+// order of the rule graph, then split-and-merge augmentation runs until a
+// sweep makes no progress. The cover is a pure function of the snapshot.
+// Randomized mode (Randomized SDNProbe) shuffles the tail worklist and DFS
+// branch order per seed — the Dyer–Frieze random greedy matching [16]
+// analogue — so every detection round draws different tested paths and
+// different terminal switches.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/analysis_snapshot.h"
@@ -52,19 +53,13 @@ struct Cover {
 
 struct MlpcConfig {
   // Shared knobs (core/common_options.h): `randomized` selects the
-  // Dyer–Frieze random greedy matcher, `seed` feeds the per-restart derived
-  // streams, `threads` parallelizes the deterministic restarts (identical
-  // cover for every value — restart r always draws Rng::derive(seed, r) and
-  // the winner is the stable (cover size, restart index) tie-break).
+  // Dyer–Frieze random greedy matcher and `seed` feeds its stream. The
+  // deterministic pass ignores `seed`; nothing reads `threads`.
   CommonOptions common;
   // Per-stitch DFS budget: how many vertex expansions a tail may explore
   // while looking for a head to merge with. Large enough to behave as
   // exhaustive on the evaluation graphs; bounds worst-case blowup.
   std::size_t search_budget = 4096;
-  // Deterministic mode: number of restarts with permuted merge order; the
-  // smallest cover wins. Greedy-plus-augmentation is order-sensitive;
-  // restarts recover the last percent toward the true minimum.
-  int deterministic_restarts = 4;
   // Randomized mode only: probability of accepting a found stitch. The
   // Dyer–Frieze random greedy matcher commits to random local choices
   // instead of exhausting alternatives; rejection makes covers non-maximal,
@@ -77,8 +72,6 @@ struct MlpcConfig {
 
 class MlpcSolver {
  public:
-  // With threads > 1 each deterministic solve() runs its restarts on a
-  // transient pool; randomized solves have no restarts and run serially.
   explicit MlpcSolver(MlpcConfig config = {}) : config_(config) {}
 
   // Computes a legal path cover of the snapshot's rule graph with no
@@ -92,7 +85,7 @@ class MlpcSolver {
                       const Cover& cover) const;
 
  private:
-  Cover solve_once(const AnalysisSnapshot& snapshot, std::uint64_t seed) const;
+  Cover solve_once(const AnalysisSnapshot& snapshot) const;
 
   MlpcConfig config_;
 };

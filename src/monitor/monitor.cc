@@ -300,7 +300,6 @@ void Monitor::run_round() {
   const double start_s = loop_->now();
   core::LocalizerConfig lc = config_.localizer;
   lc.common.randomized = false;
-  lc.common.threads = config_.common.threads;
   lc.common.seed =
       util::Rng::derive(config_.common.seed, kRoundStreamBase + report_.rounds);
   // Hold this epoch's snapshot for the whole episode: a drain_churn()

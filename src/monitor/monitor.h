@@ -35,11 +35,10 @@
 // verdict (last_verify_report()). Verification runs outside the repair
 // timing; ChurnStats keeps measuring repair alone.
 //
-// Determinism. All repair is serial and index-ordered; full regeneration
-// and localization delegate to components that are bit-identical for any
-// thread count. Round r of epoch e always draws the same derived RNG
-// streams, so a monitor run's report fingerprint is reproducible across
-// 1/2/8 threads (tests/parallel_determinism_test.cc).
+// Determinism. All repair is serial and index-ordered, and full
+// regeneration and localization are serial too. Round r of epoch e always
+// draws the same derived RNG streams, so a monitor run's report fingerprint
+// is reproducible run to run (tests/determinism_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -108,13 +107,13 @@ struct ChurnLog {
 struct MonitorConfig {
   // Simulated seconds between scheduled monitoring rounds.
   double round_period_s = 1.0;
-  // Shared seed / thread knobs. `randomized` must stay false: incremental
-  // probe repair maintains a fixed cover, which is the deterministic
-  // variant by definition.
+  // Shared seed knob (`threads` is unread). `randomized` must stay false:
+  // incremental probe repair maintains a fixed cover, which is the
+  // deterministic variant by definition.
   core::CommonOptions common;
   // Per-round localizer knobs. `common` inside it is overwritten each
-  // round (seed derived per round, threads/randomized from the monitor's
-  // own CommonOptions), so configure only the behavioral fields here.
+  // round (seed derived per round, randomized forced off), so configure
+  // only the behavioral fields here.
   core::LocalizerConfig localizer;
   // false = rebuild the whole cover from scratch after every churn batch
   // (the baseline bench_monitor_churn compares against).

@@ -254,7 +254,6 @@ bool RepairEngine::confirm(const monitor::ChurnLog& log) {
   if (probes.empty()) return false;  // nothing provable => not confirmed
   core::LocalizerConfig lc = config_.confirm;
   lc.common.randomized = false;
-  lc.common.threads = 1;  // targeted episode; determinism over parallelism
   lc.common.seed = util::Rng::derive(config_.common.seed, stream);
   lc.max_rounds = config_.confirm_max_rounds;
   lc.quiet_full_rounds_to_stop = 1;

@@ -7,7 +7,7 @@
 // flag, so a disabled registry costs one relaxed load per site and writes
 // nothing. Recording is strictly observational — no instrument touches RNG
 // streams, simulated time, or any algorithm state — which is what keeps
-// parallel-determinism guarantees intact with telemetry on or off.
+// determinism guarantees intact with telemetry on or off.
 //
 // Lifecycle: MetricsRegistry::global() is the instance the instrumented
 // subsystems use. It starts enabled iff the SDNPROBE_METRICS environment

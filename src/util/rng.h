@@ -68,9 +68,9 @@ class Rng {
 
   // Pure stream splitter: maps (seed, stream) to a decorrelated 64-bit child
   // seed via splitmix64 mixing. Unlike fork(), derive() consumes no generator
-  // state, so serial and parallel executions can hand stream r to work unit r
-  // (an MLPC restart, a probe path) and draw identical values regardless of
-  // thread count or evaluation order.
+  // state, so stream r can be handed to work unit r (a probe path, a
+  // localization round) and draw identical values regardless of evaluation
+  // order.
   static std::uint64_t derive(std::uint64_t seed, std::uint64_t stream);
 
  private:

@@ -1,7 +1,8 @@
-// The determinism contract: MLPC covers and end-to-end DetectionReports and
-// monitor runs are bit-identical for every thread count, on a Table-2-sized
-// topology (30 switches / 54 links, thousands of rules). Probe construction
-// is serial; its headers are pinned by goldens in probe_engine_test.
+// The determinism contract: MLPC covers, end-to-end DetectionReports and
+// monitor runs are pure functions of their inputs and seeds, so the same
+// configuration run twice is bit-identical, on a Table-2-sized topology
+// (30 switches / 54 links, thousands of rules). Probe headers are pinned by
+// goldens in probe_engine_test.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -57,26 +58,16 @@ std::vector<std::string> probe_fingerprints(const std::vector<Probe>& probes) {
   return out;
 }
 
-TEST(ParallelDeterminism, MlpcCoverIdenticalAcrossThreadCounts) {
+TEST(Determinism, MlpcCoverIsBitIdenticalAcrossRuns) {
   const flow::RuleSet rs = table2_sized_ruleset();
   const RuleGraph graph(rs);
   const AnalysisSnapshot snap(graph);
-
-  MlpcConfig mc;
-  mc.deterministic_restarts = 6;
-  mc.common.threads = 1;
-  const Cover reference = MlpcSolver(mc).solve(snap);
+  const Cover reference = MlpcSolver().solve(snap);
   EXPECT_GT(reference.path_count(), 0u);
-
-  for (const int threads : {2, 8}) {
-    mc.common.threads = threads;
-    const Cover cover = MlpcSolver(mc).solve(snap);
-    EXPECT_EQ(cover_paths(cover), cover_paths(reference))
-        << "threads=" << threads << " changed the deterministic cover";
-  }
+  EXPECT_EQ(cover_paths(MlpcSolver().solve(snap)), cover_paths(reference));
 }
 
-// --- End-to-end DetectionReport determinism (ISSUE 4 acceptance) ---------
+// --- End-to-end DetectionReport determinism ------------------------------
 
 flow::RuleSet report_sized_ruleset() {
   topo::GeneratorConfig tc;
@@ -111,7 +102,6 @@ std::string report_fingerprint(const DetectionReport& r) {
 }
 
 struct ReportRunOptions {
-  int threads = 1;
   bool randomized = false;
   int confirm_retries = 0;
   bool adaptive_timeout = false;
@@ -131,7 +121,6 @@ DetectionReport run_report(const flow::RuleSet& rs,
   util::Rng rng(17);
   plan_basic_faults(graph, 2, FaultMix{}, rng, &net.faults());
   LocalizerConfig lc;
-  lc.common.threads = opt.threads;
   lc.common.randomized = opt.randomized;
   lc.max_rounds = 24;
   // Wall-clock generation charging is real-time noise by design; exact
@@ -143,20 +132,18 @@ DetectionReport run_report(const flow::RuleSet& rs,
   return loc.run();
 }
 
-TEST(ParallelDeterminism, DetectionReportIdenticalAcrossThreadCounts) {
+TEST(Determinism, DetectionReportIsBitIdenticalAcrossRuns) {
   const flow::RuleSet rs = report_sized_ruleset();
   for (const bool randomized : {false, true}) {
     ReportRunOptions opt;
     opt.randomized = randomized;
-    opt.threads = 1;
     const std::string ref = report_fingerprint(run_report(rs, opt));
-    opt.threads = 4;
     EXPECT_EQ(report_fingerprint(run_report(rs, opt)), ref)
-        << "threads=4 changed the report (randomized=" << randomized << ")";
+        << "a rerun changed the report (randomized=" << randomized << ")";
   }
 }
 
-// --- Monitor churn-round determinism (ISSUE 5 acceptance) ----------------
+// --- Monitor churn-round determinism -------------------------------------
 
 // Bit-exact fingerprint of a whole monitor run: every round record, the
 // cumulative report, churn/repair counters, and the live probe set.
@@ -186,7 +173,7 @@ std::string monitor_fingerprint(const monitor::Monitor& mon) {
 
 // One scripted monitor lifetime: clean round, churn batch (installs and
 // removals), round against the new epoch, a drop fault, localizing round.
-std::string run_monitor_scripted(const flow::RuleSet& pristine, int threads) {
+std::string run_monitor_scripted(const flow::RuleSet& pristine) {
   flow::RuleSet rules = pristine;
   flow::SynthesizerConfig spare_sc;
   spare_sc.target_entry_count = 60;
@@ -197,7 +184,6 @@ std::string run_monitor_scripted(const flow::RuleSet& pristine, int threads) {
   dataplane::Network net(rules, loop);
   controller::Controller ctrl(rules, net);
   monitor::MonitorConfig mc;
-  mc.common.threads = threads;
   mc.localizer.charge_generation_time = false;
   monitor::Monitor mon(rules, ctrl, loop, mc);
 
@@ -224,16 +210,12 @@ std::string run_monitor_scripted(const flow::RuleSet& pristine, int threads) {
   return monitor_fingerprint(mon);
 }
 
-TEST(ParallelDeterminism, MonitorChurnRoundsIdenticalAcrossThreadCounts) {
+TEST(Determinism, MonitorChurnRoundsAreBitIdenticalAcrossRuns) {
   const flow::RuleSet rs = report_sized_ruleset();
-  const std::string ref = run_monitor_scripted(rs, 1);
-  for (const int threads : {2, 8}) {
-    EXPECT_EQ(run_monitor_scripted(rs, threads), ref)
-        << "threads=" << threads << " changed the monitor run";
-  }
+  EXPECT_EQ(run_monitor_scripted(rs), run_monitor_scripted(rs));
 }
 
-TEST(ParallelDeterminism, ZeroRateChannelModelKeepsReportsBitIdentical) {
+TEST(Determinism, ZeroRateChannelModelKeepsReportsBitIdentical) {
   const flow::RuleSet rs = report_sized_ruleset();
   ReportRunOptions opt;
   const std::string ref = report_fingerprint(run_report(rs, opt));
@@ -243,25 +225,19 @@ TEST(ParallelDeterminism, ZeroRateChannelModelKeepsReportsBitIdentical) {
   dataplane::ChannelModelConfig cm;
   cm.seed = 0xDEADBEEFu;
   opt.channel = &cm;
-  for (const int threads : {1, 4}) {
-    opt.threads = threads;
-    EXPECT_EQ(report_fingerprint(run_report(rs, opt)), ref)
-        << "zero-rate channel model perturbed the report at threads="
-        << threads;
-  }
+  EXPECT_EQ(report_fingerprint(run_report(rs, opt)), ref)
+      << "zero-rate channel model perturbed the report";
 }
 
-TEST(ParallelDeterminism, LossToleranceConfigIsThreadInvariant) {
+TEST(Determinism, LossToleranceConfigIsBitIdenticalAcrossRuns) {
   // Retries + adaptive timeouts enabled: genuinely faulty paths do trigger
   // confirmation re-sends, and the grace periods derive from observed RTTs.
-  // Both mechanisms must stay bit-identical across thread counts.
+  // Both mechanisms must stay bit-identical across runs.
   const flow::RuleSet rs = report_sized_ruleset();
   ReportRunOptions opt;
   opt.confirm_retries = 2;
   opt.adaptive_timeout = true;
-  opt.threads = 1;
   const std::string ref = report_fingerprint(run_report(rs, opt));
-  opt.threads = 4;
   EXPECT_EQ(report_fingerprint(run_report(rs, opt)), ref);
 }
 

@@ -225,6 +225,113 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MlpcProperty,
                                            MlpcCase{3, 1000},
                                            MlpcCase{4, 1500}));
 
+// --- The deterministic pass: one reverse-topological greedy stitch plus
+// augmentation to a fixed point ---
+
+flow::RuleSet generated_ruleset(int switches, int links,
+                                std::uint64_t topo_seed, long rules,
+                                std::uint64_t rule_seed) {
+  topo::GeneratorConfig tc;
+  tc.node_count = switches;
+  tc.link_count = links;
+  tc.seed = topo_seed;
+  const topo::Graph topo = topo::make_rocketfuel_like(tc);
+  flow::SynthesizerConfig sc;
+  sc.target_entry_count = rules;
+  sc.seed = rule_seed;
+  return flow::synthesize_ruleset(topo, sc);
+}
+
+// bench_ablation_mlpc's default world (WorkloadSpec seed 2: 20 switches,
+// 3,000 rules).
+flow::RuleSet ablation_ruleset() {
+  return generated_ruleset(20, 36, 2, 3000, 2 * 7919 + 13);
+}
+
+// determinism_test's Table-2-sized world (30 switches, 6,000 rules).
+flow::RuleSet table2_sized_ruleset() {
+  return generated_ruleset(30, 54, 2, 6000, 71);
+}
+
+// Every active vertex lies on some path and every path is legal.
+void expect_complete_legal_cover(const RuleGraph& g, const Cover& cover) {
+  std::set<VertexId> covered;
+  for (const auto& p : cover.paths) {
+    ASSERT_FALSE(p.vertices.empty());
+    EXPECT_TRUE(g.is_legal_path(p.vertices));
+    covered.insert(p.vertices.begin(), p.vertices.end());
+  }
+  int active = 0;
+  for (VertexId v = 0; v < g.vertex_count(); ++v) active += g.is_active(v);
+  EXPECT_EQ(static_cast<int>(covered.size()), active);
+}
+
+// Exact cover sizes (Fig. 8a's probe count) of the deterministic pass. The
+// best of four shuffled restarts, which this pass replaced, found 875 and
+// 1,627 paths on these worlds; the pass must never need more.
+TEST(MlpcDeterministic, PinnedCoverSizesOnGeneratedWorlds) {
+  struct World {
+    const char* name;
+    flow::RuleSet rules;
+    std::size_t paths;
+    std::size_t best_of_four_restarts;
+  };
+  const World worlds[] = {
+      {"ablation 3k", ablation_ruleset(), 828, 875},
+      {"table2-sized 6k", table2_sized_ruleset(), 1516, 1627},
+  };
+  for (const World& w : worlds) {
+    SCOPED_TRACE(w.name);
+    RuleGraph g(w.rules);
+    AnalysisSnapshot snap(g);
+    MlpcSolver solver;
+    const Cover cover = solver.solve(snap);
+    EXPECT_EQ(cover.path_count(), w.paths);
+    EXPECT_LE(cover.path_count(), w.best_of_four_restarts);
+    expect_complete_legal_cover(g, cover);
+    EXPECT_TRUE(solver.is_stitch_free(snap, cover));
+  }
+}
+
+TEST(MlpcDeterministic, CyclicRuleGraphStillGetsALegalCover) {
+  // The two-switch ping-pong of Linter.SnapshotRunFindsRuleGraphCycle: each
+  // switch sends 1100xxxx back to the other, so the rule graph has a cycle
+  // and no in-degree-0 vertex to start a topological order from.
+  topo::Graph topo(2);
+  topo.add_edge(0, 1);
+  flow::RuleSet rs(topo, 8);
+  for (const auto& [from, to] : {std::pair{0, 1}, std::pair{1, 0}}) {
+    flow::FlowEntry e;
+    e.switch_id = from;
+    e.priority = 10;
+    e.match = ts("1100xxxx");
+    e.action = flow::Action::output(*rs.ports().port_to(from, to));
+    rs.add_entry(e);
+  }
+  RuleGraph g(rs);
+  ASSERT_FALSE(g.is_acyclic());
+  AnalysisSnapshot snap(g);
+  const Cover cover = MlpcSolver().solve(snap);
+  EXPECT_GE(cover.path_count(), 1u);
+  expect_complete_legal_cover(g, cover);
+}
+
+TEST(MlpcDeterministic, CoverIsAPureFunctionOfTheSnapshot) {
+  const flow::RuleSet rs = ablation_ruleset();
+  RuleGraph g(rs);
+  AnalysisSnapshot snap(g);
+  const auto cover_paths = [&snap](std::uint64_t seed) {
+    MlpcConfig mc;
+    mc.common.seed = seed;
+    std::vector<std::vector<VertexId>> paths;
+    for (const auto& p : MlpcSolver(mc).solve(snap).paths) {
+      paths.push_back(p.vertices);
+    }
+    return paths;
+  };
+  EXPECT_EQ(cover_paths(1), cover_paths(2));
+}
+
 TEST(MlpcRandomized, DifferentSeedsGiveDifferentTerminals) {
   topo::GeneratorConfig tc;
   tc.node_count = 14;

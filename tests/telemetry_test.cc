@@ -1,16 +1,16 @@
 // Tests for the telemetry subsystem: JSON writer round-trips, registry
-// instruments (enabled/disabled semantics, concurrency from a ThreadPool),
+// instruments (enabled/disabled semantics, concurrency from std::threads),
 // dual-clock trace spans and their nesting, exporter schema stability, and
 // the bench run-artifact schema validator.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "controller/controller.h"
@@ -22,7 +22,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "topo/generator.h"
-#include "util/thread_pool.h"
 
 namespace sdnprobe::telemetry {
 namespace {
@@ -159,21 +158,32 @@ TEST(MetricsRegistry, ResetZeroesValuesButKeepsInstrumentIdentity) {
   EXPECT_EQ(&reg.counter("n"), &c);
 }
 
-TEST(MetricsRegistry, CountersAreExactUnderThreadPoolHammering) {
+// Runs fn(task) for task in [0, tasks) spread over `threads` std::threads
+// (task i on thread i % threads). The library starts no threads; callers
+// that do share the registry, so it must stay exact under contention.
+template <typename Fn>
+void run_on_threads(int threads, int tasks, Fn fn) {
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([=] {
+      for (int i = t; i < tasks; i += threads) fn(static_cast<std::size_t>(i));
+    });
+  }
+  for (std::thread& w : workers) w.join();
+}
+
+TEST(MetricsRegistry, CountersAreExactUnderConcurrentHammering) {
   MetricsRegistry reg(/*enabled=*/true);
   Counter& c = reg.counter("hammered");
   Histogram& h = reg.histogram("hammered_h");
   constexpr int kTasks = 64;
   constexpr int kAddsPerTask = 1000;
-  {
-    util::ThreadPool pool(4);
-    util::parallel_for(&pool, kTasks, [&](std::size_t i) {
-      for (int k = 0; k < kAddsPerTask; ++k) {
-        c.add();
-        h.record(static_cast<double>(i));
-      }
-    });
-  }
+  run_on_threads(4, kTasks, [&](std::size_t i) {
+    for (int k = 0; k < kAddsPerTask; ++k) {
+      c.add();
+      h.record(static_cast<double>(i));
+    }
+  });
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kTasks) * kAddsPerTask);
   EXPECT_EQ(h.count(), static_cast<std::size_t>(kTasks) * kAddsPerTask);
 }
@@ -181,15 +191,12 @@ TEST(MetricsRegistry, CountersAreExactUnderThreadPoolHammering) {
 TEST(MetricsRegistry, ConcurrentInstrumentResolutionIsSafe) {
   MetricsRegistry reg(/*enabled=*/true);
   constexpr int kTasks = 32;
-  {
-    util::ThreadPool pool(4);
-    util::parallel_for(&pool, kTasks, [&](std::size_t i) {
-      // Half the tasks resolve the same name, half resolve distinct ones.
-      reg.counter("shared").add();
-      reg.counter("task." + std::to_string(i % 8)).add();
-      reg.histogram("hist." + std::to_string(i % 4)).record(1.0);
-    });
-  }
+  run_on_threads(4, kTasks, [&](std::size_t i) {
+    // Half the tasks resolve the same name, half resolve distinct ones.
+    reg.counter("shared").add();
+    reg.counter("task." + std::to_string(i % 8)).add();
+    reg.histogram("hist." + std::to_string(i % 4)).record(1.0);
+  });
   EXPECT_EQ(reg.counter("shared").value(), static_cast<std::uint64_t>(kTasks));
 }
 
@@ -375,24 +382,6 @@ TEST(RunArtifact, AttachMetricsEmbedsRegistryExport) {
   EXPECT_NE(s.find("\"metrics\":{\"schema\":\"sdnprobe.metrics.v1\""),
             std::string::npos);
   EXPECT_NE(s.find("\"embedded\":4"), std::string::npos);
-}
-
-// --- ThreadPool observer wiring (the global registry installs it) ---
-
-TEST(PoolObserver, GlobalRegistryCountsPoolTasksWhenEnabled) {
-  auto& reg = MetricsRegistry::global();
-  const bool was_enabled = reg.enabled();
-  reg.set_enabled(true);
-  Counter& tasks = reg.counter("threadpool.tasks_run");
-  const std::uint64_t before = tasks.value();
-  {
-    util::ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    util::parallel_for(&pool, 10, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran.load(), 10);
-  }
-  EXPECT_GE(tasks.value(), before + 10);
-  reg.set_enabled(was_enabled);
 }
 
 // --- Monitor health instruments (DESIGN.md §12) ---

@@ -85,12 +85,12 @@ TEST(Rng, ShuffleIsPermutation) {
 
 TEST(Rng, DeriveIsDeterministicAndStreamSeparated) {
   // Same (seed, stream) -> same derived seed; different streams (and
-  // different base seeds) must decorrelate, since parallel MLPC restarts and
-  // per-path probe sampling each draw from their own derived stream.
+  // different base seeds) must decorrelate, since per-path probe sampling
+  // and per-round localizer seeds each draw from their own derived stream.
   EXPECT_EQ(Rng::derive(42, 0), Rng::derive(42, 0));
   EXPECT_NE(Rng::derive(42, 0), Rng::derive(42, 1));
   EXPECT_NE(Rng::derive(42, 0), Rng::derive(43, 0));
-  // Streams must not collide for a dense range (restart/path indices).
+  // Streams must not collide for a dense range (path/round indices).
   std::set<std::uint64_t> seen;
   for (std::uint64_t s = 0; s < 1000; ++s) seen.insert(Rng::derive(7, s));
   EXPECT_EQ(seen.size(), 1000u);
